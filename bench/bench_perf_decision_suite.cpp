@@ -2,17 +2,19 @@
 //
 // Measures ns/decision for the ABR schemes on the canonical ED title —
 // including both MPC engines, so the pruned-search speedup is recorded
-// next to the numbers it came from — plus end-to-end fleet throughput
-// (sessions/sec) for the batched fleet driver. Results go to
-// BENCH_PERF.json (see EXPERIMENTS.md for the recipe).
+// next to the numbers it came from — plus a fleet-shaped RobustMPC row
+// (a 60 s catalog title with the buffer and bandwidth range that fleet
+// sessions decide in) and end-to-end fleet throughput (sessions/sec) for
+// the batched fleet driver. Results go to BENCH_PERF.json (see
+// EXPERIMENTS.md for the recipe).
 //
 // Flags:
 //   --quick        ~10x fewer iterations (CI smoke-gate budget)
 //   --check        exit non-zero unless the pruned MPC engines match the
-//                  reference decisions AND the RobustMPC horizon-5 speedup
-//                  clears a deliberately generous 2x floor (the recorded
-//                  number is the real claim; the gate only catches a
-//                  regression back to enumeration)
+//                  reference decisions on both sweeps AND the RobustMPC
+//                  horizon-5 speedup clears a deliberately generous 2x
+//                  floor (the recorded number is the real claim; the gate
+//                  only catches a regression back to enumeration)
 //   --out FILE     report path (default BENCH_PERF.json)
 //
 // Timing methodology: one steady_clock read per scheme around a loop of
@@ -22,6 +24,7 @@
 // flattering point. The context sweep is identical for every scheme.
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -33,6 +36,7 @@
 #include "abr/mpc.h"
 #include "common.h"
 #include "core/cava.h"
+#include "fleet/catalog.h"
 #include "fleet/fleet.h"
 #include "learn/learned_scheme.h"
 #include "learn/trainer.h"
@@ -68,24 +72,60 @@ abr::StreamContext sweep_context(std::size_t i) {
   return ctx;
 }
 
+/// A fleet catalog title: 60 s, 30 two-second chunks, as in the perfbench
+/// reference workloads.
+const video::Video& fleet_title() {
+  static const fleet::Catalog catalog = [] {
+    fleet::CatalogConfig cfg;
+    cfg.num_titles = 1;
+    cfg.title_duration_s = 60.0;
+    cfg.chunk_duration_s = 2.0;
+    cfg.seed = bench::kCorpusSeed;
+    return fleet::Catalog(cfg);
+  }();
+  return catalog.title(0);
+}
+
+/// Fleet-shaped sweep. RobustMPC decisions in the vod-coupled fleet see
+/// buffers of 2-21 s (median 8.8 s) and raw estimates of 0.6-7.4 Mb/s
+/// (median 2.3 Mb/s), 5th-95th percentile, and about one decision in nine
+/// has its horizon clipped at the end of a 30-chunk title. The sweep covers
+/// the same ranges: buffer 2-22 s, bandwidth log-spaced 0.6-7.5 Mb/s, and
+/// every chunk of the title, tail included.
+abr::StreamContext fleet_context(std::size_t i) {
+  const video::Video& v = fleet_title();
+  abr::StreamContext ctx;
+  ctx.video = &v;
+  ctx.next_chunk = (i * 7) % v.num_chunks();
+  ctx.buffer_s = 2.0 + 2.0 * static_cast<double>(i % 11);
+  ctx.est_bandwidth_bps =
+      0.6e6 * std::pow(12.5, static_cast<double>(i % 13) / 12.0);
+  ctx.prev_track = static_cast<int>(i % v.num_tracks());
+  ctx.now_s = 2.0 * static_cast<double>(i);
+  return ctx;
+}
+
+using ContextSweep = abr::StreamContext (*)(std::size_t);
+
 struct Measured {
   double ns_per_decision = 0.0;
   std::uint64_t track_checksum = 0;  ///< Defeats dead-code elimination.
 };
 
-Measured measure_scheme(abr::AbrScheme& scheme, std::size_t iters) {
+Measured measure_scheme(abr::AbrScheme& scheme, std::size_t iters,
+                        ContextSweep sweep = sweep_context) {
   scheme.reset();
   // Warm-up pass: fault in code/data and let RobustMPC variants build an
   // error window, so the timed loop measures steady state.
   for (std::size_t i = 0; i < 16; ++i) {
-    const abr::StreamContext ctx = sweep_context(i);
+    const abr::StreamContext ctx = sweep(i);
     (void)scheme.decide(ctx);
     scheme.on_chunk_downloaded(ctx, 2, 0.8);
   }
   Measured m;
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < iters; ++i) {
-    m.track_checksum += scheme.decide(sweep_context(i)).track;
+    m.track_checksum += scheme.decide(sweep(i)).track;
   }
   const auto t1 = std::chrono::steady_clock::now();
   m.ns_per_decision =
@@ -100,11 +140,11 @@ Measured measure_scheme(abr::AbrScheme& scheme, std::size_t iters) {
 /// chosen track AND the searched QoE at every sweep point (both engines fed
 /// the same download observations so robust discounts stay in lockstep).
 bool engines_agree(const abr::MpcConfig& cfg, std::size_t iters,
-                   std::string& why) {
+                   ContextSweep sweep, std::string& why) {
   abr::Mpc pruned(cfg);
   abr::ReferenceMpc reference(cfg);
   for (std::size_t i = 0; i < iters; ++i) {
-    const abr::StreamContext ctx = sweep_context(i);
+    const abr::StreamContext ctx = sweep(i);
     const abr::Decision dp = pruned.decide(ctx);
     const abr::Decision dr = reference.decide(ctx);
     if (dp.track != dr.track ||
@@ -261,16 +301,22 @@ int main(int argc, char** argv) {
   bool ok = true;
   for (const bool robust : {false, true}) {
     abr::MpcConfig cfg = robust ? abr::robust_mpc_config() : abr::mpc_config();
-    if (!engines_agree(cfg, agree_iters, why)) {
+    if (!engines_agree(cfg, agree_iters, sweep_context, why)) {
       std::cerr << (robust ? "RobustMPC" : "MPC") << ": " << why << "\n";
       ok = false;
     }
   }
+  if (!engines_agree(abr::robust_mpc_config(), agree_iters, fleet_context,
+                     why)) {
+    std::cerr << "RobustMPC (fleet sweep): " << why << "\n";
+    ok = false;
+  }
 
   std::vector<SchemeRow> rows;
   const auto run = [&](const std::string& name,
-                       std::unique_ptr<abr::AbrScheme> scheme) {
-    rows.push_back({name, measure_scheme(*scheme, iters)});
+                       std::unique_ptr<abr::AbrScheme> scheme,
+                       ContextSweep sweep = sweep_context) {
+    rows.push_back({name, measure_scheme(*scheme, iters, sweep)});
     std::printf("%-24s %10.0f ns/decision\n", name.c_str(),
                 rows.back().m.ns_per_decision);
   };
@@ -280,6 +326,11 @@ int main(int argc, char** argv) {
   run("RobustMPC", std::make_unique<abr::Mpc>(abr::robust_mpc_config()));
   run("RobustMPC-reference",
       std::make_unique<abr::ReferenceMpc>(abr::robust_mpc_config()));
+  run("RobustMPC-fleet", std::make_unique<abr::Mpc>(abr::robust_mpc_config()),
+      fleet_context);
+  run("RobustMPC-fleet-reference",
+      std::make_unique<abr::ReferenceMpc>(abr::robust_mpc_config()),
+      fleet_context);
   run("CAVA", core::make_cava_p123());
   run("BOLA-E", std::make_unique<abr::Bola>());
 
@@ -312,8 +363,14 @@ int main(int argc, char** argv) {
       ns_of("RobustMPC") > 0.0
           ? ns_of("RobustMPC-reference") / ns_of("RobustMPC")
           : 0.0;
-  std::printf("speedup: MPC %.1fx, RobustMPC %.1fx (horizon 5)\n",
-              mpc_speedup, robust_speedup);
+  const double robust_fleet_speedup =
+      ns_of("RobustMPC-fleet") > 0.0
+          ? ns_of("RobustMPC-fleet-reference") / ns_of("RobustMPC-fleet")
+          : 0.0;
+  std::printf(
+      "speedup: MPC %.1fx, RobustMPC %.1fx, RobustMPC fleet sweep %.1fx "
+      "(horizon 5)\n",
+      mpc_speedup, robust_speedup, robust_fleet_speedup);
 
   const FleetThroughput ft = measure_fleet(quick ? 48 : 200);
   std::printf("fleet: %zu sessions in %.2f s (%.1f sessions/sec)\n",
@@ -387,6 +444,8 @@ int main(int argc, char** argv) {
   obs::detail::append_double(json, mpc_speedup);
   json += ",\"robust_mpc_horizon5\":";
   obs::detail::append_double(json, robust_speedup);
+  json += ",\"robust_mpc_fleet_horizon5\":";
+  obs::detail::append_double(json, robust_fleet_speedup);
   json += "},\"fleet\":{\"sessions\":";
   obs::detail::append_uint(json, ft.sessions);
   json += ",\"wall_s\":";

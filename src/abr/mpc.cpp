@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -56,6 +57,13 @@ struct HorizonSearch {
   }
 };
 
+/// One step's QoE contribution — the reference's expression, shared by the
+/// pruned search and its bounds so both round identically.
+inline double step_value(double q, double smooth, double rebuffer,
+                         double lambda, double mu) {
+  return q - lambda * smooth - mu * rebuffer;
+}
+
 /// Pruned engine: depth-first search over the same tree, on per-decision
 /// memoized size/quality tables, with greedy child ordering below the first
 /// level and admissible upper-bound pruning. Produces bit-identical
@@ -64,17 +72,20 @@ struct HorizonSearch {
 ///     hence rounding) of the reference, over identical inputs (providers
 ///     are deterministic per (track, chunk), so batched reads agree with
 ///     per-node reads);
-///   - the bound adds the maximum per-step quality once per remaining
-///     level using the same float additions a real path would take, so by
-///     monotonicity of rounding it upper-bounds every leaf below — a
+///   - the bound adds one per-depth step bound per remaining level using
+///     the same float additions a real path would take; each step bound
+///     dominates every real step at its depth (DESIGN.md §10), so by
+///     monotonicity of rounding the bound dominates every leaf below — a
 ///     subtree is only skipped when no leaf in it can beat the incumbent;
 ///   - the winner is the lowest first track among sequences attaining the
 ///     maximal QoE, which only depth-0 visit order decides; depth 0 stays
 ///     in ascending-track order, so reordering deeper levels is free.
 struct PrunedSearch {
-  const double* quality = nullptr;  ///< L per-track qualities (Mbps).
-  const double* dl = nullptr;       ///< K x L download seconds, depth-major.
-  double* child_qoe = nullptr;      ///< K x L arena row per depth.
+  const double* quality = nullptr;     ///< L per-track qualities (Mbps).
+  const double* dl = nullptr;          ///< K x L download seconds.
+  const double* next_bound = nullptr;  ///< K x L: depth k, previous track.
+  const double* deep_bound = nullptr;  ///< K: depth k, any previous track.
+  double* child_qoe = nullptr;         ///< K x L arena row per depth.
   double* child_buf = nullptr;
   std::size_t* order = nullptr;
   std::size_t levels = 0;  ///< K: effective search depth.
@@ -83,29 +94,28 @@ struct PrunedSearch {
   double max_buffer_s = 0.0;
   double lambda = 0.0;
   double mu = 0.0;
-  double max_quality = 0.0;
 
   double best_qoe = -1e300;
   std::size_t best_first = 0;
+  std::size_t expanded = 0;
 
-  /// True if a leaf below a node with partial QoE `qoe` and `remaining`
-  /// levels to go could still beat the incumbent. The repeated addition
-  /// (not qoe + remaining * max_quality) matters: it reproduces the
-  /// rounding of the real accumulation chain, keeping the bound admissible
-  /// in floating point, not just in exact arithmetic.
-  [[nodiscard]] bool can_improve(double qoe, std::size_t remaining) const {
-    double bound = qoe;
-    for (std::size_t r = 0; r < remaining; ++r) {
-      if (bound > best_qoe) {
-        return true;  // additions only grow the bound
-      }
-      bound += max_quality;
+  /// True if a leaf below the depth-`depth` node on `track` with partial
+  /// QoE `qoe` could still beat the incumbent. The bound is the real
+  /// accumulation chain with every step replaced by its bound, so it
+  /// rounds like a real path; no early exit, since step bounds may be
+  /// negative.
+  [[nodiscard]] bool can_improve(double qoe, std::size_t depth,
+                                 std::size_t track) const {
+    double bound = qoe + next_bound[(depth + 1) * tracks + track];
+    for (std::size_t k = depth + 2; k < levels; ++k) {
+      bound += deep_bound[k];
     }
     return bound > best_qoe;
   }
 
   void search(std::size_t depth, double buffer_s, double prev_quality,
               double qoe, std::size_t first_track) {
+    ++expanded;
     const double* dl_row = dl + depth * tracks;
     double* cq = child_qoe + depth * tracks;
     double* cb = child_buf + depth * tracks;
@@ -118,37 +128,41 @@ struct PrunedSearch {
       const double q = quality[l];
       const double smooth =
           prev_quality >= 0.0 ? std::abs(q - prev_quality) : 0.0;
-      const double step_qoe = q - lambda * smooth - mu * rebuffer;
-      cq[l] = qoe + step_qoe;
+      cq[l] = qoe + step_value(q, smooth, rebuffer, lambda, mu);
       cb[l] = buf;
       ord[l] = l;
     }
-    if (depth > 0) {
-      // Greedy ordering: the most promising subtree first, so the
-      // incumbent tightens early and the bound prunes the rest.
-      std::sort(ord, ord + tracks, [&](std::size_t a, std::size_t b) {
-        if (cq[a] != cq[b]) {
-          return cq[a] > cq[b];
-        }
-        return a < b;
-      });
-    }
-    const std::size_t remaining = levels - depth - 1;
-    for (std::size_t j = 0; j < tracks; ++j) {
-      const std::size_t l = ord[j];
-      const double candidate = cq[l];
-      if (remaining == 0) {
-        if (candidate > best_qoe) {
-          best_qoe = candidate;
+    if (depth + 1 == levels) {
+      // Leaves. Below depth 0 they all share first_track, and only a strict
+      // improvement replaces the incumbent, so they need no ordering.
+      for (std::size_t l = 0; l < tracks; ++l) {
+        if (cq[l] > best_qoe) {
+          best_qoe = cq[l];
           best_first = depth == 0 ? l : first_track;
         }
-        continue;
       }
-      if (!can_improve(candidate, remaining)) {
-        continue;
+      return;
+    }
+    if (depth > 0) {
+      // Greedy ordering: the most promising subtree first, so the
+      // incumbent tightens early and the bound prunes the rest. Insertion
+      // sort on (partial QoE descending, track ascending) — ladders are a
+      // handful of tracks.
+      for (std::size_t j = 1; j < tracks; ++j) {
+        const std::size_t l = ord[j];
+        std::size_t i = j;
+        for (; i > 0 && cq[l] > cq[ord[i - 1]]; --i) {
+          ord[i] = ord[i - 1];
+        }
+        ord[i] = l;
       }
-      search(depth + 1, cb[l], quality[l], candidate,
-             depth == 0 ? l : first_track);
+    }
+    for (std::size_t j = 0; j < tracks; ++j) {
+      const std::size_t l = ord[j];
+      if (can_improve(cq[l], depth, l)) {
+        search(depth + 1, cb[l], quality[l], cq[l],
+               depth == 0 ? l : first_track);
+      }
     }
   }
 };
@@ -200,6 +214,7 @@ Decision Mpc::decide_reference(const StreamContext& ctx,
           : -1.0;
   s.search(0, ctx.next_chunk, ctx.buffer_s, prev_q, 0.0, 0);
   last_best_qoe_ = s.best_qoe;
+  last_nodes_expanded_ = 0;
   return Decision{.track = s.best_first};
 }
 
@@ -216,6 +231,7 @@ Decision Mpc::decide_pruned(const StreamContext& ctx, double bandwidth_bps) {
     // Zero-step window: the enumerator scores the empty sequence (QoE 0)
     // and keeps the initial first track of 0.
     last_best_qoe_ = 0.0;
+    last_nodes_expanded_ = 0;
     return Decision{.track = 0};
   }
 
@@ -223,8 +239,6 @@ Decision Mpc::decide_pruned(const StreamContext& ctx, double bandwidth_bps) {
   for (std::size_t l = 0; l < tracks; ++l) {
     quality_scratch_[l] = video.track(l).average_bitrate_bps() / 1e6;
   }
-  const double max_quality = *std::max_element(quality_scratch_.begin(),
-                                               quality_scratch_.end());
 
   // One batched size query per track for the whole window, then the same
   // size / bandwidth division the reference performs per node.
@@ -236,6 +250,37 @@ Decision Mpc::decide_pruned(const StreamContext& ctx, double bandwidth_bps) {
       dl_scratch_[k * tracks + l] = size_scratch_[k] / bandwidth_bps;
     }
   }
+
+  // Per-depth step bounds (DESIGN.md §10). buffer_ub follows the buffer
+  // chain with zero download time, which no real path's buffer exceeds, so
+  // max(dl - buffer_ub, 0) is a lower bound on the rebuffer at that depth.
+  // The step after a known track keeps its smoothness term; deeper steps
+  // drop it. Depth 0 is searched exactly and needs no bound.
+  const double chunk_duration_s = video.chunk_duration_s();
+  const double lambda = config_.lambda;
+  const double mu = config_.mu_rebuffer;
+  bound_next_.resize(levels * tracks);
+  bound_deep_.resize(levels);
+  double buffer_ub = ctx.buffer_s;
+  for (std::size_t k = 1; k < levels; ++k) {
+    buffer_ub = std::min(buffer_ub + chunk_duration_s, ctx.max_buffer_s);
+    double* next_row = bound_next_.data() + k * tracks;
+    std::fill(next_row, next_row + tracks,
+              -std::numeric_limits<double>::infinity());
+    double deep = -std::numeric_limits<double>::infinity();
+    for (std::size_t l = 0; l < tracks; ++l) {
+      const double rebuffer_lb =
+          std::max(dl_scratch_[k * tracks + l] - buffer_ub, 0.0);
+      const double q = quality_scratch_[l];
+      deep = std::max(deep, step_value(q, 0.0, rebuffer_lb, lambda, mu));
+      for (std::size_t p = 0; p < tracks; ++p) {
+        const double smooth = std::abs(q - quality_scratch_[p]);
+        next_row[p] = std::max(
+            next_row[p], step_value(q, smooth, rebuffer_lb, lambda, mu));
+      }
+    }
+    bound_deep_[k] = deep;
+  }
   child_qoe_.resize(levels * tracks);
   child_buf_.resize(levels * tracks);
   order_.resize(levels * tracks);
@@ -243,21 +288,23 @@ Decision Mpc::decide_pruned(const StreamContext& ctx, double bandwidth_bps) {
   PrunedSearch s;
   s.quality = quality_scratch_.data();
   s.dl = dl_scratch_.data();
+  s.next_bound = bound_next_.data();
+  s.deep_bound = bound_deep_.data();
   s.child_qoe = child_qoe_.data();
   s.child_buf = child_buf_.data();
   s.order = order_.data();
   s.levels = levels;
   s.tracks = tracks;
-  s.chunk_duration_s = video.chunk_duration_s();
+  s.chunk_duration_s = chunk_duration_s;
   s.max_buffer_s = ctx.max_buffer_s;
-  s.lambda = config_.lambda;
-  s.mu = config_.mu_rebuffer;
-  s.max_quality = max_quality;
+  s.lambda = lambda;
+  s.mu = mu;
   const double prev_q =
       ctx.prev_track >= 0
           ? quality_scratch_[static_cast<std::size_t>(ctx.prev_track)]
           : -1.0;
   s.search(0, ctx.buffer_s, prev_q, 0.0, 0);
+  last_nodes_expanded_ = s.expanded;
   last_best_qoe_ = s.best_qoe;
   return Decision{.track = s.best_first};
 }
@@ -282,6 +329,7 @@ void Mpc::on_chunk_downloaded(const StreamContext& ctx, std::size_t track,
 void Mpc::reset() {
   last_prediction_bps_ = 0.0;
   last_best_qoe_ = 0.0;
+  last_nodes_expanded_ = 0;
   relative_errors_.clear();
 }
 

@@ -19,8 +19,9 @@
 //     by one batched provider query per track, an arena-backed depth-first
 //     search whose scratch is reused across decisions, greedy child
 //     ordering below the first level, and admissible upper-bound pruning
-//     (remaining QoE can never exceed one max-quality step per remaining
-//     level, evaluated with the same rounding as the real accumulation);
+//     (per-depth step bounds from a buffer upper bound, a rebuffer lower
+//     bound and the known previous track, accumulated with the same
+//     rounding as the real accumulation);
 //   - the reference engine: the original recursive enumerator over all
 //     tracks^horizon sequences, kept as the differential-testing oracle.
 // The differential suite (tests/test_mpc_differential.cpp) pins that both
@@ -66,6 +67,13 @@ class Mpc : public AbrScheme {
   /// any decision.
   [[nodiscard]] double last_best_qoe() const { return last_best_qoe_; }
 
+  /// Interior search nodes the pruned engine expanded in the most recent
+  /// decide() — a measure of pruning power for tests and benches. 0 for
+  /// the reference engine and before any decision.
+  [[nodiscard]] std::size_t last_nodes_expanded() const {
+    return last_nodes_expanded_;
+  }
+
   [[nodiscard]] const MpcConfig& config() const { return config_; }
 
  private:
@@ -77,6 +85,7 @@ class Mpc : public AbrScheme {
   MpcConfig config_;
   double last_prediction_bps_ = 0.0;  ///< Estimate used for the last decision.
   double last_best_qoe_ = 0.0;
+  std::size_t last_nodes_expanded_ = 0;
   std::deque<double> relative_errors_;
 
   // Arena-backed per-decision scratch for the pruned engine, reused across
@@ -86,6 +95,8 @@ class Mpc : public AbrScheme {
   std::vector<double> quality_scratch_;  ///< Per-track quality (Mbps).
   std::vector<double> dl_scratch_;       ///< K x L download seconds.
   std::vector<double> size_scratch_;     ///< Batched per-track size rows.
+  std::vector<double> bound_next_;       ///< K x L step bounds after track.
+  std::vector<double> bound_deep_;       ///< K step bounds, any track.
   std::vector<double> child_qoe_;        ///< K x L candidate partial QoE.
   std::vector<double> child_buf_;        ///< K x L candidate buffers.
   std::vector<std::size_t> order_;       ///< K x L child visit order.

@@ -147,6 +147,181 @@ TEST(MpcDifferential, HorizonTruncationAtVideoEndAndVisibleLimit) {
   }
 }
 
+// --- Bound regimes -------------------------------------------------------
+// The pruning bound (DESIGN.md §10) is built per decision from a buffer
+// upper bound, a rebuffer lower bound and the known previous track. Each
+// case below drives one corner of that construction against the oracle.
+
+/// Runs both engines on random ladders at horizons 1..5, on contexts from
+/// `make(video, rng)`, with `cfg` for both.
+template <typename MakeContext>
+void sweep_bound_regime(const abr::MpcConfig& cfg, std::uint64_t seed,
+                        const std::string& regime, MakeContext make) {
+  std::mt19937_64 rng(seed);
+  for (int ladder = 0; ladder < 4; ++ladder) {
+    const std::size_t tracks = 2 + static_cast<std::size_t>(rng() % 5);
+    const video::Video v = random_ladder(rng, tracks, 16);
+    for (std::size_t horizon = 1; horizon <= 5; ++horizon) {
+      abr::MpcConfig c = cfg;
+      c.horizon = horizon;
+      abr::Mpc pruned(c);
+      abr::ReferenceMpc reference(c);
+      for (int point = 0; point < 12; ++point) {
+        expect_agree(pruned, reference, make(v, rng),
+                     regime + " ladder " + std::to_string(ladder) + " h" +
+                         std::to_string(horizon) + " p" +
+                         std::to_string(point));
+      }
+    }
+  }
+}
+
+TEST(MpcDifferential, BoundRegimeStartupWithEmptyBuffer) {
+  std::uniform_real_distribution<double> bw(1e5, 9e6);
+  sweep_bound_regime(abr::mpc_config(), 501, "startup",
+                     [&](const video::Video& v, std::mt19937_64& rng) {
+                       return testutil::make_context(
+                           v, static_cast<std::size_t>(rng() % 8), 0.0,
+                           bw(rng), -1);
+                     });
+}
+
+TEST(MpcDifferential, BoundRegimeBufferAtCap) {
+  // The buffer upper bound saturates at max_buffer_s from depth 0 on.
+  std::uniform_real_distribution<double> bw(1e5, 9e6);
+  for (const double cap : {3.0, 10.0, 100.0}) {
+    sweep_bound_regime(
+        abr::robust_mpc_config(), 502, "cap " + std::to_string(cap),
+        [&](const video::Video& v, std::mt19937_64& rng) {
+          abr::StreamContext ctx = testutil::make_context(
+              v, static_cast<std::size_t>(rng() % 16), cap, bw(rng),
+              static_cast<int>(rng() % v.num_tracks()));
+          ctx.max_buffer_s = cap;
+          return ctx;
+        });
+  }
+}
+
+TEST(MpcDifferential, BoundRegimeStarvationWithAllStepBoundsNegative) {
+  // The smallest chunk of a random ladder is 0.3 x 100 kb/s x 2 s, which
+  // takes 20 s or more at 3 kb/s. The bound's buffer is at most 10 s by
+  // depth 4, so every step costs at least 80 in rebuffer penalty, more
+  // than any ladder's quality: every step bound is negative.
+  std::uniform_real_distribution<double> bw(2e3, 3e3);
+  sweep_bound_regime(abr::robust_mpc_config(), 503, "starvation",
+                     [&](const video::Video& v, std::mt19937_64& rng) {
+                       return testutil::make_context(
+                           v, static_cast<std::size_t>(rng() % 16),
+                           static_cast<double>(rng() % 3),
+                           bw(rng), static_cast<int>(rng() % 3) - 1);
+                     });
+  // Negative step bounds are exactly where an "additions only grow the
+  // bound" early exit goes wrong: once partial sums only fall, any partial
+  // sum above the incumbent stops the bound short, pruning stalls and the
+  // search degenerates to near-enumeration (834 of 1555 interior nodes
+  // here, against under 30 with the full chain). On a narrow ladder every
+  // track rebuffers for a similar time, so partial sums stay close to the
+  // incumbent. Pin the pruning power, not just the answer.
+  const video::Video v = testutil::make_flat_video(
+      {1e5, 1.1e5, 1.2e5, 1.3e5, 1.4e5, 1.5e5}, 20);
+  abr::Mpc pruned(abr::robust_mpc_config());
+  abr::ReferenceMpc reference(abr::robust_mpc_config());
+  const std::size_t full_tree = 1 + 6 + 36 + 216 + 1296;  // 6 tracks, h5
+  for (int prev = -1; prev < 6; ++prev) {
+    const abr::StreamContext ctx =
+        testutil::make_context(v, 3, 0.0, 5e3, prev);
+    expect_agree(pruned, reference, ctx,
+                 "starvation prev " + std::to_string(prev));
+    EXPECT_GT(pruned.last_nodes_expanded(), 0U);
+    EXPECT_LT(pruned.last_nodes_expanded(), full_tree / 20)
+        << "starvation prev " << prev;
+  }
+  EXPECT_EQ(reference.last_nodes_expanded(), 0U);
+}
+
+TEST(MpcDifferential, BoundRegimeZeroLambdaAndZeroMu) {
+  std::uniform_real_distribution<double> buf(0.0, 30.0);
+  std::uniform_real_distribution<double> bw(1e5, 9e6);
+  const auto make = [&](const video::Video& v, std::mt19937_64& rng) {
+    return testutil::make_context(
+        v, static_cast<std::size_t>(rng() % 16), buf(rng), bw(rng),
+        static_cast<int>(rng() % (v.num_tracks() + 1)) - 1);
+  };
+  abr::MpcConfig no_smooth = abr::robust_mpc_config();
+  no_smooth.lambda = 0.0;
+  sweep_bound_regime(no_smooth, 504, "lambda 0", make);
+  abr::MpcConfig no_rebuffer = abr::robust_mpc_config();
+  no_rebuffer.mu_rebuffer = 0.0;
+  sweep_bound_regime(no_rebuffer, 505, "mu 0", make);
+  abr::MpcConfig neither = abr::mpc_config();
+  neither.lambda = 0.0;
+  neither.mu_rebuffer = 0.0;
+  sweep_bound_regime(neither, 506, "lambda 0 mu 0", make);
+}
+
+TEST(MpcDifferential, BoundRegimeExactTiesOnDyadicLadder) {
+  // Video requires strictly ascending track bitrates, so ties come from
+  // plans instead: with dyadic qualities (0.5, 1, 2, 4 Mbps) every sum and
+  // smoothness difference is exact, so reordered plans tie to the last bit
+  // and only the smallest-first-track tie-break picks the winner.
+  const video::Video v =
+      testutil::make_flat_video({5e5, 1e6, 2e6, 4e6}, 16);
+  {
+    // Hand-built tie: from a 4 s buffer at 8e6 / 3.5 b/s, the top chunk
+    // takes 3.5 s, so two in a row rebuffer, but (2, 3) and (3, 2) both
+    // score exactly 2 + 4. The reference keeps the first, track 2.
+    abr::MpcConfig cfg;
+    cfg.horizon = 2;
+    cfg.lambda = 0.0;
+    abr::Mpc pruned(cfg);
+    abr::ReferenceMpc reference(cfg);
+    const abr::StreamContext ctx =
+        testutil::make_context(v, 5, 4.0, 8e6 / 3.5, -1);
+    EXPECT_EQ(expect_agree(pruned, reference, ctx, "hand-built tie"), 2U);
+    EXPECT_EQ(reference.last_best_qoe(), 6.0);
+  }
+  std::mt19937_64 rng(507);
+  std::uniform_real_distribution<double> buf(0.0, 12.0);
+  std::uniform_real_distribution<double> bw(1e6, 8e6);
+  for (std::size_t horizon = 1; horizon <= 5; ++horizon) {
+    for (const double lambda : {0.0, 1.0}) {
+      abr::MpcConfig cfg;
+      cfg.horizon = horizon;
+      cfg.lambda = lambda;
+      abr::Mpc pruned(cfg);
+      abr::ReferenceMpc reference(cfg);
+      for (int point = 0; point < 20; ++point) {
+        const abr::StreamContext ctx = testutil::make_context(
+            v, static_cast<std::size_t>(rng() % 16), buf(rng), bw(rng),
+            static_cast<int>(rng() % 5) - 1);
+        expect_agree(pruned, reference, ctx,
+                     "dyadic h" + std::to_string(horizon) + " lambda " +
+                         std::to_string(lambda) + " p" +
+                         std::to_string(point));
+      }
+    }
+  }
+}
+
+TEST(MpcDifferential, BoundRegimeVisibleWindowOfOneAndTwoLevels) {
+  // A manifest that announces only one or two chunks past next_chunk
+  // leaves no deep levels (1) or only the track-keyed next step (2).
+  std::uniform_real_distribution<double> buf(0.0, 20.0);
+  std::uniform_real_distribution<double> bw(1e5, 9e6);
+  for (const std::size_t window : {std::size_t{1}, std::size_t{2}}) {
+    sweep_bound_regime(
+        abr::robust_mpc_config(), 508 + window,
+        "visible +" + std::to_string(window),
+        [&](const video::Video& v, std::mt19937_64& rng) {
+          abr::StreamContext ctx = testutil::make_context(
+              v, static_cast<std::size_t>(rng() % 12), buf(rng), bw(rng),
+              static_cast<int>(rng() % (v.num_tracks() + 1)) - 1);
+          ctx.visible_chunks = ctx.next_chunk + window;
+          return ctx;
+        });
+  }
+}
+
 TEST(MpcDifferential, RobustModeSharesErrorHistoryInLockstep) {
   const video::Video& v = synthetic_title();
   abr::MpcConfig cfg = abr::robust_mpc_config();

@@ -15,6 +15,7 @@
 #include "net/bandwidth_estimator.h"
 #include "net/trace_gen.h"
 #include "sim/session.h"
+#include "test_util.h"
 #include "video/dataset.h"
 
 namespace {
@@ -24,8 +25,6 @@ using namespace vbr;
 // ---------------------------------------------------------------------
 // Session invariants for every scheme on randomized (video, trace) pairs.
 // ---------------------------------------------------------------------
-
-using SchemeMaker = std::unique_ptr<abr::AbrScheme> (*)();
 
 std::unique_ptr<abr::AbrScheme> mk_cava() { return core::make_cava_p123(); }
 std::unique_ptr<abr::AbrScheme> mk_mpc() {
@@ -48,7 +47,7 @@ std::unique_ptr<abr::AbrScheme> mk_rba() {
 }
 
 class SessionInvariants
-    : public ::testing::TestWithParam<std::tuple<SchemeMaker, int>> {};
+    : public ::testing::TestWithParam<std::tuple<testutil::LabeledMaker, int>> {};
 
 TEST_P(SessionInvariants, HoldForRandomizedRuns) {
   const auto [maker, seed] = GetParam();
@@ -93,8 +92,15 @@ TEST_P(SessionInvariants, HoldForRandomizedRuns) {
 
 INSTANTIATE_TEST_SUITE_P(
     SchemesBySeeds, SessionInvariants,
-    ::testing::Combine(::testing::Values(mk_cava, mk_mpc, mk_rmpc, mk_panda,
-                                         mk_bola, mk_bba, mk_rba),
+    ::testing::Combine(
+        // Labels keep the test names stable (see testutil::LabeledMaker).
+        ::testing::Values(testutil::LabeledMaker{"0x55803c512dd0", mk_cava},
+                          testutil::LabeledMaker{"0x55803c512d60", mk_mpc},
+                          testutil::LabeledMaker{"0x55803c5132a0", mk_rmpc},
+                          testutil::LabeledMaker{"0x55803c512ce0", mk_panda},
+                          testutil::LabeledMaker{"0x55803c512c60", mk_bola},
+                          testutil::LabeledMaker{"0x55803c512c00", mk_bba},
+                          testutil::LabeledMaker{"0x55803c512bc0", mk_rba}),
                        ::testing::Values(1, 2, 3)));
 
 // ---------------------------------------------------------------------

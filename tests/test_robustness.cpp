@@ -55,6 +55,15 @@ std::unique_ptr<abr::AbrScheme> mk_dynamic() {
   return std::make_unique<abr::DynamicRule>();
 }
 
+// Every scheme, labelled for stable test names (see testutil::LabeledMaker).
+const testutil::LabeledMaker kAllSchemes[] = {
+    {"0x55803c532fe0", mk_cava},    {"0x55803c532e90", mk_pia},
+    {"0x55803c532e20", mk_mpc},     {"0x55803c532da0", mk_panda},
+    {"0x55803c532d20", mk_bola},    {"0x55803c532cc0", mk_bba},
+    {"0x55803c532c60", mk_bba0},    {"0x55803c532c20", mk_rba},
+    {"0x55803c532bd0", mk_festive}, {"0x55803c532b50", mk_dynamic},
+};
+
 enum class Shape {
   kTwoTracks,
   kTenTracks,
@@ -87,7 +96,7 @@ video::Video make_shape(Shape shape) {
 }
 
 class RobustnessTest
-    : public ::testing::TestWithParam<std::tuple<SchemeMaker, Shape>> {};
+    : public ::testing::TestWithParam<std::tuple<testutil::LabeledMaker, Shape>> {};
 
 TEST_P(RobustnessTest, SessionCompletesWithInvariants) {
   const auto [maker, shape] = GetParam();
@@ -113,9 +122,7 @@ TEST_P(RobustnessTest, SessionCompletesWithInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllSchemesAllShapes, RobustnessTest,
-    ::testing::Combine(::testing::Values(mk_cava, mk_pia, mk_mpc, mk_panda,
-                                         mk_bola, mk_bba, mk_bba0, mk_rba,
-                                         mk_festive, mk_dynamic),
+    ::testing::Combine(::testing::ValuesIn(kAllSchemes),
                        ::testing::Values(Shape::kTwoTracks,
                                          Shape::kTenTracks,
                                          Shape::kSingleChunk,
@@ -141,7 +148,7 @@ net::FaultConfig make_fault(FaultMix mix) {
 }
 
 class FaultMatrixTest
-    : public ::testing::TestWithParam<std::tuple<SchemeMaker, FaultMix>> {};
+    : public ::testing::TestWithParam<std::tuple<testutil::LabeledMaker, FaultMix>> {};
 
 TEST_P(FaultMatrixTest, SessionSurvivesInjectedFaults) {
   const auto [maker, mix] = GetParam();
@@ -189,9 +196,7 @@ TEST_P(FaultMatrixTest, SessionSurvivesInjectedFaults) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllSchemesAllFaults, FaultMatrixTest,
-    ::testing::Combine(::testing::Values(mk_cava, mk_pia, mk_mpc, mk_panda,
-                                         mk_bola, mk_bba, mk_bba0, mk_rba,
-                                         mk_festive, mk_dynamic),
+    ::testing::Combine(::testing::ValuesIn(kAllSchemes),
                        ::testing::Values(FaultMix::kHardFail,
                                          FaultMix::kMidDrop,
                                          FaultMix::kTimeout,
@@ -216,7 +221,7 @@ TEST(Robustness, ZeroBandwidthStretches) {
 // clear exception before any scheme arithmetic can propagate them. NaN is
 // the treacherous case — it compares false against every threshold
 // (NaN <= 0 is false), so only an explicit isnan/isfinite check stops it.
-class InputValidationTest : public ::testing::TestWithParam<SchemeMaker> {};
+class InputValidationTest : public ::testing::TestWithParam<testutil::LabeledMaker> {};
 
 TEST_P(InputValidationTest, NonFiniteBandwidthIsRejected) {
   const video::Video v = testutil::default_flat_video(10);
@@ -265,9 +270,7 @@ TEST_P(InputValidationTest, ZeroOrTinyBandwidthNeverCrashes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, InputValidationTest,
-                         ::testing::Values(mk_cava, mk_pia, mk_mpc, mk_panda,
-                                           mk_bola, mk_bba, mk_bba0, mk_rba,
-                                           mk_festive, mk_dynamic));
+                         ::testing::ValuesIn(kAllSchemes));
 
 TEST(InputValidation, EmptyLadderIsRejected) {
   EXPECT_THROW(video::Video("none", video::Genre::kAnimation, {}, {}),

@@ -2,6 +2,8 @@
 // chunk sizes, flat traces, and convenience wrappers.
 #pragma once
 
+#include <memory>
+#include <ostream>
 #include <vector>
 
 #include "abr/scheme.h"
@@ -71,6 +73,22 @@ inline abr::StreamContext make_context(const video::Video& v,
   ctx.prev_track = prev_track;
   ctx.now_s = now_s;
   return ctx;
+}
+
+/// A scheme factory used as a gtest parameter, with a fixed label.
+/// gtest prints a bare function pointer as its address, and ctest's
+/// discovered test names embed that printed value; ASLR moves the address
+/// on every build, so those names would change from build to build. The
+/// label pins the name. Suites keep the labels their instances were first
+/// recorded under, so recorded test ids keep naming the same (scheme, case).
+struct LabeledMaker {
+  const char* label;
+  std::unique_ptr<abr::AbrScheme> (*make)();
+  std::unique_ptr<abr::AbrScheme> operator()() const { return make(); }
+};
+
+inline void PrintTo(const LabeledMaker& m, std::ostream* os) {
+  *os << m.label;
 }
 
 }  // namespace vbr::testutil
