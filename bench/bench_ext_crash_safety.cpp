@@ -8,10 +8,17 @@
 //      write.
 //   2. Checkpoint I/O: bytes on disk, save and load wall time as the
 //      captured run grows (kill at 25% / 50% / 75% of the fleet).
-//   3. Durable telemetry: events/s through the plain JSONL sink vs the
+//   3. Checkpoint cost vs run length: cumulative in-run checkpoint wall
+//      time (run with checkpoints every 100 sessions minus the same run
+//      without, telemetry collected in both, best of 3) at N = 250 / 500 /
+//      1,000 / 2,000 sessions. The append-only journal writes each session
+//      once, so this grows linearly in N; a whole-file snapshot rewrites
+//      every completed session at each checkpoint and grows as N^2.
+//   4. Durable telemetry: events/s through the plain JSONL sink vs the
 //      checksummed + fsync'd DurableJsonlTraceSink.
 //
 // Run: ./bench_ext_crash_safety
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdint>
@@ -24,6 +31,7 @@
 #include "fleet/checkpoint.h"
 #include "fleet/fleet.h"
 #include "obs/jsonl_io.h"
+#include "obs/metrics.h"
 #include "obs/trace_sink.h"
 
 namespace {
@@ -57,6 +65,17 @@ fleet::FleetSpec base_spec(const std::vector<net::Trace>& traces,
 std::string tmp_path(const char* name) {
   const char* dir = std::getenv("TMPDIR");
   return std::string(dir != nullptr ? dir : "/tmp") + "/" + name;
+}
+
+long file_bytes(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  long bytes = 0;
+  if (f != nullptr) {
+    std::fseek(f, 0, SEEK_END);
+    bytes = std::ftell(f);
+    std::fclose(f);
+  }
+  return bytes;
 }
 
 }  // namespace
@@ -111,17 +130,47 @@ int main() {
     const auto t_save = Clock::now();
     ck.save(copy);
     const double save_ms = secs_since(t_save) * 1e3;
-    std::FILE* f = std::fopen(spec.checkpoint_path.c_str(), "rb");
-    long bytes = 0;
-    if (f != nullptr) {
-      std::fseek(f, 0, SEEK_END);
-      bytes = std::ftell(f);
-      std::fclose(f);
-    }
-    std::printf("%9.0f%% %12ld %10.2f %10.2f\n", frac * 100.0, bytes,
-                save_ms, load_ms);
+    std::printf("%9.0f%% %12ld %10.2f %10.2f\n", frac * 100.0,
+                file_bytes(spec.checkpoint_path), save_ms, load_ms);
     std::remove(spec.checkpoint_path.c_str());
     std::remove(copy.c_str());
+  }
+  std::printf("\n");
+
+  std::printf("== in-run checkpoint cost vs run length (every 100, "
+              "telemetry on) ==\n");
+  std::printf("%8s %10s %10s %12s %14s %12s\n", "sessions", "off(s)",
+              "on(s)", "ckpt(s)", "ckpt/session", "bytes");
+  for (const std::size_t sessions : {std::size_t{250}, std::size_t{500},
+                                     std::size_t{1000}, std::size_t{2000}}) {
+    const std::string path = tmp_path("bench_crash_safety_len.ckpt");
+    const auto best_wall = [&](bool checkpoints) {
+      double best = 0.0;
+      for (int rep = 0; rep < 3; ++rep) {
+        fleet::FleetSpec spec = base_spec(traces, sessions);
+        obs::MemoryTraceSink sink;
+        obs::MetricsRegistry registry;
+        spec.trace = &sink;
+        spec.metrics = &registry;
+        if (checkpoints) {
+          std::remove(path.c_str());
+          spec.checkpoint_path = path;
+          spec.checkpoint_every = 100;
+        }
+        const auto t0 = Clock::now();
+        (void)fleet::run_fleet(spec);
+        const double wall = secs_since(t0);
+        best = rep == 0 ? wall : std::min(best, wall);
+      }
+      return best;
+    };
+    const double off = best_wall(false);
+    const double on = best_wall(true);
+    const double ckpt = std::max(0.0, on - off);
+    std::printf("%8zu %10.3f %10.3f %12.3f %11.3f ms %12ld\n", sessions, off,
+                on, ckpt, ckpt * 1e3 / static_cast<double>(sessions),
+                file_bytes(path));
+    std::remove(path.c_str());
   }
   std::printf("\n");
 

@@ -9,6 +9,7 @@
 #include <charconv>
 #include <string_view>
 #include <system_error>
+#include <unordered_set>
 
 #include "fleet/rng.h"
 #include "obs/json_util.h"
@@ -255,12 +256,13 @@ void put_uvec(std::string& s, const char* tag,
   s += '\n';
 }
 
-/// Sequential line/token reader over the checkpoint payload. Every helper
-/// throws CheckpointError naming the line on any malformed input, so load()
-/// can never silently misread a damaged file.
+/// Sequential line/token reader over one segment's payload. Every helper
+/// throws CheckpointError naming the segment and line on any malformed
+/// input, so load() can never silently misread a damaged file.
 class Reader {
  public:
-  explicit Reader(std::string_view payload) : s_(payload) {}
+  Reader(std::string_view payload, std::uint64_t segment)
+      : s_(payload), segment_(segment) {}
 
   [[nodiscard]] std::string_view next_line() {
     if (pos_ >= s_.size()) {
@@ -279,15 +281,14 @@ class Reader {
   [[nodiscard]] bool at_end() const { return pos_ >= s_.size(); }
 
   [[noreturn]] void fail(const std::string& what) const {
-    throw CheckpointError("checkpoint: " + what + " (line " +
-                          std::to_string(line_no_) + ")");
+    throw CheckpointError("checkpoint: segment " + std::to_string(segment_) +
+                          ", line " + std::to_string(line_no_) + ": " + what);
   }
-
-  [[nodiscard]] std::uint64_t line_no() const { return line_no_; }
 
  private:
   std::string_view s_;
   std::size_t pos_ = 0;
+  std::uint64_t segment_;
   std::uint64_t line_no_ = 0;
 };
 
@@ -619,39 +620,42 @@ obs::MetricsRegistry read_registry(Reader& r) {
   return reg;
 }
 
-}  // namespace
 
-void FleetCheckpoint::save(const std::string& path) const {
-  std::string s;
-  s.reserve(1 << 16);
+const char* engine_name(FleetEngine e) {
+  return e == FleetEngine::kEvent ? "event" : "stepped";
+}
+
+/// The segment header line, the shared state, and the "sessions <n>" line
+/// that the `num_sessions` session blocks follow.
+void put_segment_head(std::string& s, const FleetCheckpoint::Segment& seg,
+                      std::uint64_t number, std::size_t num_sessions) {
   s += kMagic;
   sp(s);
-  put_u64(s, version);
+  put_u64(s, FleetCheckpoint::kVersion);
+  s += " seg ";
+  put_u64(s, number);
+  s += " engine ";
+  s += engine_name(seg.engine);
+  s += " events ";
+  put_u64(s, seg.events_done);
+  s += " meta ";
+  put_u64(s, seg.spec_fingerprint);
+  sp(s);
+  put_u64(s, seg.num_sessions);
+  sp(s);
+  put_u64(s, seg.num_titles);
+  sp(s);
+  put_u64(s, seg.max_tracks);
+  sp(s);
+  put_u64(s, seg.sessions_done);
+  sp(s);
+  put_u64(s, seg.experiment_fingerprint);
   s += '\n';
-  s += "meta ";
-  put_u64(s, spec_fingerprint);
-  sp(s);
-  put_u64(s, num_sessions);
-  sp(s);
-  put_u64(s, num_titles);
-  sp(s);
-  put_u64(s, max_tracks);
-  sp(s);
-  put_u64(s, sessions_done);
-  sp(s);
-  put_u64(s, experiment_fingerprint);
-  s += '\n';
-  // v4 (event engine) adds exactly one line; everything else is shared.
-  if (version >= kEventVersion) {
-    s += "engine ";
-    put_u64(s, events_done);
-    s += '\n';
-  }
 
   s += "titles ";
-  put_u64(s, titles.size());
+  put_u64(s, seg.titles.size());
   s += '\n';
-  for (const TitleState& ts : titles) {
+  for (const FleetCheckpoint::TitleState& ts : seg.titles) {
     s += "title ";
     put_u64(s, ts.index);
     sp(s);
@@ -665,7 +669,7 @@ void FleetCheckpoint::save(const std::string& path) const {
     put_uvec(s, "hits", ts.track_hits);
     put_uvec(s, "tot", ts.track_total);
     put_entries(s, "entries", ts.shard_entries);
-    // CDN hierarchy state (v2): uniform — all zeros when the CDN is off.
+    // CDN hierarchy state: uniform — all zeros when the CDN is off.
     s += "cdn ";
     put_u64(s, ts.cdn_requests);
     sp(s);
@@ -717,164 +721,184 @@ void FleetCheckpoint::save(const std::string& path) const {
   }
 
   s += "sessions ";
-  put_u64(s, sessions.size());
+  put_u64(s, num_sessions);
   s += '\n';
-  for (const SessionState& ss : sessions) {
-    const FleetSessionRecord& rec = ss.record;
-    s += "session ";
-    put_u64(s, rec.session_id);
-    sp(s);
-    put_f64(s, rec.arrival_s);
-    sp(s);
-    put_u64(s, rec.title);
-    sp(s);
-    put_u64(s, rec.class_index);
-    sp(s);
-    put_u64(s, rec.trace_index);
-    sp(s);
-    put_f64(s, rec.watch_duration_s);
-    sp(s);
-    put_u64(s, rec.chunks);
-    sp(s);
-    put_u64(s, rec.edge_hits);
-    sp(s);
-    put_f64(s, rec.edge_hit_bits);
-    sp(s);
-    put_f64(s, rec.origin_bits);
-    sp(s);
-    put_u64(s, rec.regional_hits);
-    sp(s);
-    put_u64(s, rec.coalesced_chunks);
-    sp(s);
-    put_u64(s, rec.shed_chunks);
-    sp(s);
-    put_f64(s, rec.regional_bits);
-    sp(s);
-    put_u64(s, rec.watchdog_aborted ? 1 : 0);
-    s += '\n';
-    s += "qoe ";
-    put_f64(s, rec.qoe.q4_quality_mean);
-    sp(s);
-    put_f64(s, rec.qoe.q4_quality_median);
-    sp(s);
-    put_f64(s, rec.qoe.q13_quality_mean);
-    sp(s);
-    put_f64(s, rec.qoe.all_quality_mean);
-    sp(s);
-    put_f64(s, rec.qoe.low_quality_pct);
-    sp(s);
-    put_f64(s, rec.qoe.rebuffer_s);
-    sp(s);
-    put_f64(s, rec.qoe.startup_delay_s);
-    sp(s);
-    put_f64(s, rec.qoe.avg_quality_change);
-    sp(s);
-    put_f64(s, rec.qoe.data_usage_mb);
-    s += '\n';
-    put_dvec(s, "qv4", rec.qoe.q4_qualities);
-    put_dvec(s, "qv13", rec.qoe.q13_qualities);
-    put_dvec(s, "qvall", rec.qoe.all_qualities);
-    s += "faults ";
-    put_u64(s, rec.faults.chunks);
-    sp(s);
-    put_u64(s, rec.faults.skipped);
-    sp(s);
-    put_u64(s, rec.faults.downgraded);
-    sp(s);
-    put_u64(s, rec.faults.attempts);
-    sp(s);
-    put_u64(s, rec.faults.connect_failures);
-    sp(s);
-    put_u64(s, rec.faults.mid_drops);
-    sp(s);
-    put_u64(s, rec.faults.timeouts);
-    sp(s);
-    put_f64(s, rec.faults.backoff_wait_s);
-    sp(s);
-    put_f64(s, rec.faults.resumed_mb);
-    sp(s);
-    put_f64(s, rec.faults.wasted_mb);
-    s += '\n';
-    // Experiment stratum + per-QoE-model scores (v3; zero/empty outside
-    // experiment runs, serialized unconditionally for a uniform format).
-    s += "abx ";
-    put_u64(s, rec.stratum);
-    s += '\n';
-    put_dvec(s, "scores", rec.qoe_scores);
-    s += "events ";
-    put_u64(s, ss.has_events ? 1 : 0);
-    sp(s);
-    put_u64(s, ss.events.size());
-    s += '\n';
-    for (const obs::DecisionEvent& ev : ss.events) {
+}
+
+/// One session block. `events` / `metrics` are null when the spec does not
+/// collect that stream. A template only so the loaded form (a vector) and
+/// the live MemoryTraceSink (a deque) share this one serializer.
+template <class Events>
+void put_session(std::string& s, const FleetSessionRecord& rec,
+                 const Events* events, const obs::MetricsRegistry* metrics) {
+  s += "session ";
+  put_u64(s, rec.session_id);
+  sp(s);
+  put_f64(s, rec.arrival_s);
+  sp(s);
+  put_u64(s, rec.title);
+  sp(s);
+  put_u64(s, rec.class_index);
+  sp(s);
+  put_u64(s, rec.trace_index);
+  sp(s);
+  put_f64(s, rec.watch_duration_s);
+  sp(s);
+  put_u64(s, rec.chunks);
+  sp(s);
+  put_u64(s, rec.edge_hits);
+  sp(s);
+  put_f64(s, rec.edge_hit_bits);
+  sp(s);
+  put_f64(s, rec.origin_bits);
+  sp(s);
+  put_u64(s, rec.regional_hits);
+  sp(s);
+  put_u64(s, rec.coalesced_chunks);
+  sp(s);
+  put_u64(s, rec.shed_chunks);
+  sp(s);
+  put_f64(s, rec.regional_bits);
+  sp(s);
+  put_u64(s, rec.watchdog_aborted ? 1 : 0);
+  s += '\n';
+  s += "qoe ";
+  put_f64(s, rec.qoe.q4_quality_mean);
+  sp(s);
+  put_f64(s, rec.qoe.q4_quality_median);
+  sp(s);
+  put_f64(s, rec.qoe.q13_quality_mean);
+  sp(s);
+  put_f64(s, rec.qoe.all_quality_mean);
+  sp(s);
+  put_f64(s, rec.qoe.low_quality_pct);
+  sp(s);
+  put_f64(s, rec.qoe.rebuffer_s);
+  sp(s);
+  put_f64(s, rec.qoe.startup_delay_s);
+  sp(s);
+  put_f64(s, rec.qoe.avg_quality_change);
+  sp(s);
+  put_f64(s, rec.qoe.data_usage_mb);
+  s += '\n';
+  put_dvec(s, "qv4", rec.qoe.q4_qualities);
+  put_dvec(s, "qv13", rec.qoe.q13_qualities);
+  put_dvec(s, "qvall", rec.qoe.all_qualities);
+  s += "faults ";
+  put_u64(s, rec.faults.chunks);
+  sp(s);
+  put_u64(s, rec.faults.skipped);
+  sp(s);
+  put_u64(s, rec.faults.downgraded);
+  sp(s);
+  put_u64(s, rec.faults.attempts);
+  sp(s);
+  put_u64(s, rec.faults.connect_failures);
+  sp(s);
+  put_u64(s, rec.faults.mid_drops);
+  sp(s);
+  put_u64(s, rec.faults.timeouts);
+  sp(s);
+  put_f64(s, rec.faults.backoff_wait_s);
+  sp(s);
+  put_f64(s, rec.faults.resumed_mb);
+  sp(s);
+  put_f64(s, rec.faults.wasted_mb);
+  s += '\n';
+  // Experiment stratum + per-QoE-model scores (zero/empty outside
+  // experiment runs, serialized unconditionally for a uniform format).
+  s += "abx ";
+  put_u64(s, rec.stratum);
+  s += '\n';
+  put_dvec(s, "scores", rec.qoe_scores);
+  s += "events ";
+  put_u64(s, events != nullptr ? 1 : 0);
+  sp(s);
+  put_u64(s, events != nullptr ? events->size() : 0);
+  s += '\n';
+  if (events != nullptr) {
+    for (const obs::DecisionEvent& ev : *events) {
       // Each event rides as a checksummed canonical JSONL line — the same
       // torn/corrupt detection as the durable trace sinks.
       s += obs::checksummed_line(obs::to_jsonl(ev));
       s += '\n';
     }
-    s += "metrics ";
-    put_u64(s, ss.has_metrics ? 1 : 0);
-    s += '\n';
-    if (ss.has_metrics) {
-      put_registry(s, ss.metrics);
-    }
   }
+  s += "metrics ";
+  put_u64(s, metrics != nullptr ? 1 : 0);
+  s += '\n';
+  if (metrics != nullptr) {
+    put_registry(s, *metrics);
+  }
+}
 
-  // Whole-payload trailer: everything above, checksummed.
+/// Closes the segment that starts at s[start]: "end <8hex>\n", the checksum
+/// covering the segment plus the "end " prefix itself (load() mirrors).
+void put_trailer(std::string& s, std::size_t start) {
   s += "end ";
-  {
-    // Covers the payload plus the "end " prefix itself (load() mirrors).
-    const std::uint32_t crc =
-        obs::line_checksum(std::string_view(s.data(), s.size()));
-    static const char* digits = "0123456789abcdef";
-    for (int shift = 28; shift >= 0; shift -= 4) {
-      s += digits[(crc >> shift) & 0xFu];
-    }
+  const std::uint32_t crc = obs::line_checksum(
+      std::string_view(s.data() + start, s.size() - start));
+  static const char* digits = "0123456789abcdef";
+  for (int shift = 28; shift >= 0; shift -= 4) {
+    s += digits[(crc >> shift) & 0xFu];
   }
   s += '\n';
+}
 
-  // Atomic durable write: temp + fsync + rename + directory fsync. A crash
-  // at any byte of this sequence leaves either the old checkpoint or the
-  // new one — never a torn file under the real name.
-  const std::string tmp = path + ".tmp";
-  errno = 0;
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    throw std::system_error(errno != 0 ? errno : EIO, std::generic_category(),
-                            "FleetCheckpoint::save: cannot open '" + tmp +
-                                "'");
-  }
+[[noreturn]] void throw_errno(int err, const std::string& what) {
+  throw std::system_error(err != 0 ? err : EIO, std::generic_category(),
+                          what);
+}
+
+/// Writes all of `data` to `fd` at `offset`; on failure closes fd and throws
+/// naming `path`.
+void write_all_at(int fd, const std::string& path, const std::string& data,
+                  off_t offset, const char* who) {
   std::size_t done = 0;
-  while (done < s.size()) {
-    const ssize_t nw = ::write(fd, s.data() + done, s.size() - done);
+  while (done < data.size()) {
+    const ssize_t nw =
+        ::pwrite(fd, data.data() + done, data.size() - done,
+                 offset + static_cast<off_t>(done));
     if (nw < 0) {
       if (errno == EINTR) {
         continue;
       }
       const int err = errno;
       ::close(fd);
-      ::unlink(tmp.c_str());
-      throw std::system_error(err, std::generic_category(),
-                              "FleetCheckpoint::save: write failed on '" +
-                                  tmp + "'");
+      throw_errno(err, std::string(who) + ": write failed on '" + path + "'");
     }
     done += static_cast<std::size_t>(nw);
   }
   if (::fsync(fd) != 0) {
     const int err = errno;
     ::close(fd);
-    ::unlink(tmp.c_str());
-    throw std::system_error(err, std::generic_category(),
-                            "FleetCheckpoint::save: fsync failed on '" + tmp +
-                                "'");
+    throw_errno(err, std::string(who) + ": fsync failed on '" + path + "'");
   }
   ::close(fd);
+}
+
+/// Atomic durable replace: temp + fsync + rename + directory fsync. A crash
+/// at any byte of this sequence leaves either the old file or the new one —
+/// never a torn file under the real name.
+void write_atomically(const std::string& path, const std::string& data,
+                      const char* who) {
+  const std::string tmp = path + ".tmp";
+  errno = 0;
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) {
+    throw_errno(errno, std::string(who) + ": cannot open '" + tmp + "'");
+  }
+  try {
+    write_all_at(fd, tmp, data, 0, who);
+  } catch (...) {
+    ::unlink(tmp.c_str());
+    throw;
+  }
   if (::rename(tmp.c_str(), path.c_str()) != 0) {
     const int err = errno;
     ::unlink(tmp.c_str());
-    throw std::system_error(err, std::generic_category(),
-                            "FleetCheckpoint::save: cannot rename '" + tmp +
-                                "' to '" + path + "'");
+    throw_errno(err, std::string(who) + ": cannot rename '" + tmp + "' to '" +
+                         path + "'");
   }
   // Make the rename itself durable.
   const std::size_t slash = path.find_last_of('/');
@@ -888,13 +912,29 @@ void FleetCheckpoint::save(const std::string& path) const {
   }
 }
 
-FleetCheckpoint FleetCheckpoint::load(const std::string& path) {
+/// Durable append after the first `good_bytes` of `path`: whatever lies
+/// beyond them (a torn segment from a crashed run) is truncated first, so
+/// a new segment never lands behind a damaged one.
+void append_after(const std::string& path, std::uint64_t good_bytes,
+                  const std::string& data, const char* who) {
+  errno = 0;
+  const int fd = ::open(path.c_str(), O_WRONLY);
+  if (fd < 0) {
+    throw_errno(errno, std::string(who) + ": cannot open '" + path + "'");
+  }
+  if (::ftruncate(fd, static_cast<off_t>(good_bytes)) != 0) {
+    const int err = errno;
+    ::close(fd);
+    throw_errno(err, std::string(who) + ": cannot truncate '" + path + "'");
+  }
+  write_all_at(fd, path, data, static_cast<off_t>(good_bytes), who);
+}
+
+std::string read_all(const std::string& path) {
   errno = 0;
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
-    throw std::system_error(errno != 0 ? errno : EIO, std::generic_category(),
-                            "FleetCheckpoint::load: cannot open '" + path +
-                                "'");
+    throw_errno(errno, "FleetCheckpoint::load: cannot open '" + path + "'");
   }
   std::string data;
   char buf[1 << 16];
@@ -906,9 +946,7 @@ FleetCheckpoint FleetCheckpoint::load(const std::string& path) {
       }
       const int err = errno;
       ::close(fd);
-      throw std::system_error(err, std::generic_category(),
-                              "FleetCheckpoint::load: read failed on '" +
-                                  path + "'");
+      throw_errno(err, "FleetCheckpoint::load: read failed on '" + path + "'");
     }
     if (nr == 0) {
       break;
@@ -916,256 +954,441 @@ FleetCheckpoint FleetCheckpoint::load(const std::string& path) {
     data.append(buf, static_cast<std::size_t>(nr));
   }
   ::close(fd);
+  return data;
+}
 
-  // Trailer first: the last line must be "end <8hex>" covering everything
-  // before it. A truncated or bit-rotted file fails here with one clear
-  // error instead of a confusing parse failure deep inside.
-  if (data.empty() || data.back() != '\n') {
-    throw CheckpointError("checkpoint: truncated file (no trailer)");
+/// The file's first line must carry the magic and this build's version.
+/// Checked before any segment is parsed, so an old whole-file snapshot is
+/// named by its version rather than reported as a damaged journal.
+void check_format_line(const std::string& data) {
+  if (data.empty()) {
+    throw CheckpointError("checkpoint: empty file");
   }
-  const std::size_t tail_nl = data.find_last_of('\n', data.size() - 2);
-  const std::size_t trailer_at =
-      tail_nl == std::string::npos ? 0 : tail_nl + 1;
-  const std::string_view trailer(data.data() + trailer_at,
-                                 data.size() - trailer_at - 1);
-  if (trailer.size() != 12 || trailer.substr(0, 4) != "end ") {
-    throw CheckpointError("checkpoint: missing 'end' trailer");
+  const std::string_view first(data.data(),
+                               std::min(data.find('\n'), data.size()));
+  const std::size_t space = first.find(' ');
+  const std::string_view magic = first.substr(0, space);
+  if (magic != kMagic) {
+    throw CheckpointError("checkpoint: bad magic '" + std::string(magic) +
+                          "'");
+  }
+  std::string_view rest = space == std::string_view::npos
+                              ? std::string_view()
+                              : first.substr(space + 1);
+  rest = rest.substr(0, rest.find(' '));
+  std::uint64_t version = 0;
+  const auto r = std::from_chars(rest.data(), rest.data() + rest.size(),
+                                 version);
+  if (r.ec != std::errc() || r.ptr != rest.data() + rest.size()) {
+    throw CheckpointError("checkpoint: malformed version field");
+  }
+  if (version == 3 || version == 4) {
+    throw CheckpointError(
+        "checkpoint: unsupported version " + std::to_string(version) +
+        " (VBRFLEETCKPT " + std::to_string(version) +
+        " is a whole-file snapshot from before the append-only journal; "
+        "this build reads version " +
+        std::to_string(FleetCheckpoint::kVersion) +
+        " — finish the run with the build that wrote it or delete the file)");
+  }
+  if (version != FleetCheckpoint::kVersion) {
+    throw CheckpointError("checkpoint: unsupported version " +
+                          std::to_string(version) + " (expected " +
+                          std::to_string(FleetCheckpoint::kVersion) + ")");
+  }
+}
+
+/// Verifies the "end <8hex>" trailer at data[trailer_at, eol) against the
+/// segment data[start, trailer_at + 4).
+bool trailer_ok(const std::string& data, std::size_t start,
+                std::size_t trailer_at, std::size_t eol) {
+  if (eol - trailer_at != 12) {
+    return false;
   }
   std::uint32_t stored = 0;
-  for (std::size_t i = 4; i < 12; ++i) {
-    const char c = trailer[i];
+  for (std::size_t i = trailer_at + 4; i < eol; ++i) {
+    const char c = data[i];
     std::uint32_t nib = 0;
     if (c >= '0' && c <= '9') {
       nib = static_cast<std::uint32_t>(c - '0');
     } else if (c >= 'a' && c <= 'f') {
       nib = static_cast<std::uint32_t>(c - 'a') + 10;
     } else {
-      throw CheckpointError("checkpoint: malformed trailer checksum");
+      return false;
     }
     stored = (stored << 4) | nib;
   }
-  // The checksum covers the payload plus the literal "end " prefix, i.e.
-  // everything up to the hex digits — matching how save() computed it.
-  const std::string_view covered(data.data(), trailer_at + 4);
-  if (obs::line_checksum(covered) != stored) {
-    throw CheckpointError(
-        "checkpoint: trailer checksum mismatch (corrupt or torn file)");
-  }
+  return obs::line_checksum(std::string_view(
+             data.data() + start, trailer_at + 4 - start)) == stored;
+}
 
-  Reader r(std::string_view(data.data(), trailer_at));
-  FleetCheckpoint ck;
+FleetCheckpoint::TitleState read_title(Reader& r,
+                                       const FleetCheckpoint::Segment& seg) {
+  FleetCheckpoint::TitleState ts;
+  Tokens tt(r.next_line(), r);
+  tt.expect("title");
+  ts.index = tt.u64();
+  ts.done = tt.u64();
+  ts.total = tt.u64();
+  ts.has_shard = tt.flag();
+  tt.done();
+  if (ts.index >= seg.num_titles || ts.done > ts.total) {
+    r.fail("inconsistent title record");
+  }
+  ts.stats = read_stats(r);
+  ts.track_hits = read_uvec(r, "hits");
+  ts.track_total = read_uvec(r, "tot");
+  if (ts.track_hits.size() != seg.max_tracks ||
+      ts.track_total.size() != seg.max_tracks) {
+    r.fail("track vector size mismatch");
+  }
+  ts.shard_entries = read_entries(r, "entries");
+  {
+    Tokens ct(r.next_line(), r);
+    ct.expect("cdn");
+    ts.cdn_requests = ct.u64();
+    ts.cdn_consecutive_sheds = ct.u64();
+    ts.has_regional = ct.flag();
+    ct.done();
+  }
+  {
+    Tokens cs(r.next_line(), r);
+    cs.expect("cstats");
+    ts.cdn_stats.client_requests = cs.u64();
+    ts.cdn_stats.edge_hits = cs.u64();
+    ts.cdn_stats.regional_hits = cs.u64();
+    ts.cdn_stats.origin_fetches = cs.u64();
+    ts.cdn_stats.coalesced = cs.u64();
+    ts.cdn_stats.shed = cs.u64();
+    ts.cdn_stats.failovers = cs.u64();
+    ts.cdn_stats.brownout_fetches = cs.u64();
+    ts.cdn_stats.shed_wait_s = cs.f64();
+    ts.cdn_stats.regional_hit_bits = cs.f64();
+    ts.cdn_stats.origin_fetch_bits = cs.f64();
+    cs.done();
+  }
+  ts.regional_stats = read_stats(r, "rstats");
+  ts.regional_entries = read_entries(r, "rentries");
+  Tokens it(r.next_line(), r);
+  it.expect("inflight");
+  const std::uint64_t ni = it.u64();
+  it.done();
+  ts.inflight.reserve(ni);
+  for (std::uint64_t j = 0; j < ni; ++j) {
+    Tokens f(r.next_line(), r);
+    f.expect("if");
+    const std::uint64_t key = f.u64();
+    CdnInflight fl;
+    fl.start_s = f.f64();
+    fl.ready_s = f.f64();
+    fl.tier = static_cast<std::uint32_t>(f.u64());
+    f.done();
+    if (fl.tier > 2) {
+      r.fail("inflight tier out of range");
+    }
+    ts.inflight.emplace_back(key, fl);
+  }
+  return ts;
+}
+
+FleetCheckpoint::SessionState read_session(
+    Reader& r, const FleetCheckpoint::Segment& seg) {
+  FleetCheckpoint::SessionState ss;
+  FleetSessionRecord& rec = ss.record;
+  Tokens st(r.next_line(), r);
+  st.expect("session");
+  rec.session_id = st.u64();
+  rec.arrival_s = st.f64();
+  rec.title = st.u64();
+  rec.class_index = st.u64();
+  rec.trace_index = st.u64();
+  rec.watch_duration_s = st.f64();
+  rec.chunks = st.u64();
+  rec.edge_hits = st.u64();
+  rec.edge_hit_bits = st.f64();
+  rec.origin_bits = st.f64();
+  rec.regional_hits = st.u64();
+  rec.coalesced_chunks = st.u64();
+  rec.shed_chunks = st.u64();
+  rec.regional_bits = st.f64();
+  rec.watchdog_aborted = st.flag();
+  st.done();
+  if (rec.session_id >= seg.num_sessions) {
+    r.fail("session id out of range");
+  }
+  Tokens qt(r.next_line(), r);
+  qt.expect("qoe");
+  rec.qoe.q4_quality_mean = qt.f64();
+  rec.qoe.q4_quality_median = qt.f64();
+  rec.qoe.q13_quality_mean = qt.f64();
+  rec.qoe.all_quality_mean = qt.f64();
+  rec.qoe.low_quality_pct = qt.f64();
+  rec.qoe.rebuffer_s = qt.f64();
+  rec.qoe.startup_delay_s = qt.f64();
+  rec.qoe.avg_quality_change = qt.f64();
+  rec.qoe.data_usage_mb = qt.f64();
+  qt.done();
+  rec.qoe.q4_qualities = read_dvec(r, "qv4");
+  rec.qoe.q13_qualities = read_dvec(r, "qv13");
+  rec.qoe.all_qualities = read_dvec(r, "qvall");
+  Tokens ft(r.next_line(), r);
+  ft.expect("faults");
+  rec.faults.chunks = ft.u64();
+  rec.faults.skipped = ft.u64();
+  rec.faults.downgraded = ft.u64();
+  rec.faults.attempts = ft.u64();
+  rec.faults.connect_failures = ft.u64();
+  rec.faults.mid_drops = ft.u64();
+  rec.faults.timeouts = ft.u64();
+  rec.faults.backoff_wait_s = ft.f64();
+  rec.faults.resumed_mb = ft.f64();
+  rec.faults.wasted_mb = ft.f64();
+  ft.done();
+  Tokens at(r.next_line(), r);
+  at.expect("abx");
+  rec.stratum = static_cast<std::uint32_t>(at.u64());
+  at.done();
+  rec.qoe_scores = read_dvec(r, "scores");
+  Tokens evt(r.next_line(), r);
+  evt.expect("events");
+  ss.has_events = evt.flag();
+  const std::uint64_t nev = evt.u64();
+  evt.done();
+  if (!ss.has_events && nev != 0) {
+    r.fail("events listed for a session without an event stream");
+  }
+  ss.events.reserve(nev);
+  for (std::uint64_t j = 0; j < nev; ++j) {
+    const std::string_view line = r.next_line();
+    std::string_view payload;
+    if (!obs::verify_checksummed_line(line, payload)) {
+      r.fail("event line failed its checksum");
+    }
+    try {
+      ss.events.push_back(obs::parse_jsonl(payload));
+    } catch (const std::invalid_argument& e) {
+      r.fail(std::string("bad event line: ") + e.what());
+    }
+  }
+  Tokens mt(r.next_line(), r);
+  mt.expect("metrics");
+  ss.has_metrics = mt.flag();
+  mt.done();
+  if (ss.has_metrics) {
+    ss.metrics = read_registry(r);
+  }
+  return ss;
+}
+
+/// Parses one checksum-verified segment payload (trailer excluded).
+FleetCheckpoint::Segment read_segment(std::string_view payload,
+                                      std::uint64_t number) {
+  Reader r(payload, number);
+  FleetCheckpoint::Segment seg;
   {
     Tokens t(r.next_line(), r);
-    const std::string_view magic = t.word();
-    if (magic != kMagic) {
-      throw CheckpointError("checkpoint: bad magic '" + std::string(magic) +
-                            "'");
+    if (t.word() != kMagic) {
+      r.fail("bad magic");
     }
-    const std::uint64_t version = t.u64();
-    t.done();
-    if (version != kVersion && version != kEventVersion) {
-      throw CheckpointError("checkpoint: unsupported version " +
-                            std::to_string(version) + " (expected " +
-                            std::to_string(kVersion) + " or " +
-                            std::to_string(kEventVersion) + ")");
+    if (t.u64() != FleetCheckpoint::kVersion) {
+      r.fail("version differs from the journal's");
     }
-    ck.version = static_cast<std::uint32_t>(version);
-  }
-
-  {
-    Tokens t(r.next_line(), r);
-    t.expect("meta");
-    ck.spec_fingerprint = t.u64();
-    ck.num_sessions = t.u64();
-    ck.num_titles = t.u64();
-    ck.max_tracks = t.u64();
-    ck.sessions_done = t.u64();
-    ck.experiment_fingerprint = t.u64();
-    t.done();
-  }
-
-  // v4 carries the event-engine progress line; a v3 file must not have it
-  // (Tokens::expect on "titles" below rejects a stray "engine" line).
-  if (ck.version >= kEventVersion) {
-    Tokens t(r.next_line(), r);
+    t.expect("seg");
+    if (t.u64() != number) {
+      r.fail("out of order (the header names another segment number)");
+    }
     t.expect("engine");
-    ck.events_done = t.u64();
+    const std::string_view engine = t.word();
+    if (engine == "stepped") {
+      seg.engine = FleetEngine::kStepped;
+    } else if (engine == "event") {
+      seg.engine = FleetEngine::kEvent;
+    } else {
+      r.fail("unknown engine '" + std::string(engine) + "'");
+    }
+    t.expect("events");
+    seg.events_done = t.u64();
+    t.expect("meta");
+    seg.spec_fingerprint = t.u64();
+    seg.num_sessions = t.u64();
+    seg.num_titles = t.u64();
+    seg.max_tracks = t.u64();
+    seg.sessions_done = t.u64();
+    seg.experiment_fingerprint = t.u64();
     t.done();
   }
-
   {
     Tokens t(r.next_line(), r);
     t.expect("titles");
     const std::uint64_t n = t.u64();
     t.done();
-    ck.titles.reserve(n);
+    seg.titles.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
-      TitleState ts;
-      Tokens tt(r.next_line(), r);
-      tt.expect("title");
-      ts.index = tt.u64();
-      ts.done = tt.u64();
-      ts.total = tt.u64();
-      ts.has_shard = tt.flag();
-      tt.done();
-      if (ts.index >= ck.num_titles || ts.done > ts.total) {
-        r.fail("inconsistent title record");
-      }
-      ts.stats = read_stats(r);
-      ts.track_hits = read_uvec(r, "hits");
-      ts.track_total = read_uvec(r, "tot");
-      if (ts.track_hits.size() != ck.max_tracks ||
-          ts.track_total.size() != ck.max_tracks) {
-        r.fail("track vector size mismatch");
-      }
-      ts.shard_entries = read_entries(r, "entries");
-      {
-        Tokens ct(r.next_line(), r);
-        ct.expect("cdn");
-        ts.cdn_requests = ct.u64();
-        ts.cdn_consecutive_sheds = ct.u64();
-        ts.has_regional = ct.flag();
-        ct.done();
-      }
-      {
-        Tokens cs(r.next_line(), r);
-        cs.expect("cstats");
-        ts.cdn_stats.client_requests = cs.u64();
-        ts.cdn_stats.edge_hits = cs.u64();
-        ts.cdn_stats.regional_hits = cs.u64();
-        ts.cdn_stats.origin_fetches = cs.u64();
-        ts.cdn_stats.coalesced = cs.u64();
-        ts.cdn_stats.shed = cs.u64();
-        ts.cdn_stats.failovers = cs.u64();
-        ts.cdn_stats.brownout_fetches = cs.u64();
-        ts.cdn_stats.shed_wait_s = cs.f64();
-        ts.cdn_stats.regional_hit_bits = cs.f64();
-        ts.cdn_stats.origin_fetch_bits = cs.f64();
-        cs.done();
-      }
-      ts.regional_stats = read_stats(r, "rstats");
-      ts.regional_entries = read_entries(r, "rentries");
-      {
-        Tokens it(r.next_line(), r);
-        it.expect("inflight");
-        const std::uint64_t ni = it.u64();
-        it.done();
-        ts.inflight.reserve(ni);
-        for (std::uint64_t j = 0; j < ni; ++j) {
-          Tokens f(r.next_line(), r);
-          f.expect("if");
-          const std::uint64_t key = f.u64();
-          CdnInflight fl;
-          fl.start_s = f.f64();
-          fl.ready_s = f.f64();
-          fl.tier = static_cast<std::uint32_t>(f.u64());
-          f.done();
-          if (fl.tier > 2) {
-            r.fail("inflight tier out of range");
-          }
-          ts.inflight.emplace_back(key, fl);
-        }
-      }
-      ck.titles.push_back(std::move(ts));
+      seg.titles.push_back(read_title(r, seg));
     }
   }
-
   {
     Tokens t(r.next_line(), r);
     t.expect("sessions");
     const std::uint64_t n = t.u64();
     t.done();
-    ck.sessions.reserve(n);
+    seg.sessions.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
-      SessionState ss;
-      FleetSessionRecord& rec = ss.record;
-      Tokens st(r.next_line(), r);
-      st.expect("session");
-      rec.session_id = st.u64();
-      rec.arrival_s = st.f64();
-      rec.title = st.u64();
-      rec.class_index = st.u64();
-      rec.trace_index = st.u64();
-      rec.watch_duration_s = st.f64();
-      rec.chunks = st.u64();
-      rec.edge_hits = st.u64();
-      rec.edge_hit_bits = st.f64();
-      rec.origin_bits = st.f64();
-      rec.regional_hits = st.u64();
-      rec.coalesced_chunks = st.u64();
-      rec.shed_chunks = st.u64();
-      rec.regional_bits = st.f64();
-      rec.watchdog_aborted = st.flag();
-      st.done();
-      if (rec.session_id >= ck.num_sessions) {
-        r.fail("session id out of range");
-      }
-      Tokens qt(r.next_line(), r);
-      qt.expect("qoe");
-      rec.qoe.q4_quality_mean = qt.f64();
-      rec.qoe.q4_quality_median = qt.f64();
-      rec.qoe.q13_quality_mean = qt.f64();
-      rec.qoe.all_quality_mean = qt.f64();
-      rec.qoe.low_quality_pct = qt.f64();
-      rec.qoe.rebuffer_s = qt.f64();
-      rec.qoe.startup_delay_s = qt.f64();
-      rec.qoe.avg_quality_change = qt.f64();
-      rec.qoe.data_usage_mb = qt.f64();
-      qt.done();
-      rec.qoe.q4_qualities = read_dvec(r, "qv4");
-      rec.qoe.q13_qualities = read_dvec(r, "qv13");
-      rec.qoe.all_qualities = read_dvec(r, "qvall");
-      Tokens ft(r.next_line(), r);
-      ft.expect("faults");
-      rec.faults.chunks = ft.u64();
-      rec.faults.skipped = ft.u64();
-      rec.faults.downgraded = ft.u64();
-      rec.faults.attempts = ft.u64();
-      rec.faults.connect_failures = ft.u64();
-      rec.faults.mid_drops = ft.u64();
-      rec.faults.timeouts = ft.u64();
-      rec.faults.backoff_wait_s = ft.f64();
-      rec.faults.resumed_mb = ft.f64();
-      rec.faults.wasted_mb = ft.f64();
-      ft.done();
-      Tokens at(r.next_line(), r);
-      at.expect("abx");
-      rec.stratum = static_cast<std::uint32_t>(at.u64());
-      at.done();
-      rec.qoe_scores = read_dvec(r, "scores");
-      Tokens evt(r.next_line(), r);
-      evt.expect("events");
-      ss.has_events = evt.flag();
-      const std::uint64_t nev = evt.u64();
-      evt.done();
-      ss.events.reserve(nev);
-      for (std::uint64_t j = 0; j < nev; ++j) {
-        const std::string_view line = r.next_line();
-        std::string_view payload;
-        if (!obs::verify_checksummed_line(line, payload)) {
-          r.fail("event line failed its checksum");
-        }
-        try {
-          ss.events.push_back(obs::parse_jsonl(payload));
-        } catch (const std::invalid_argument& e) {
-          r.fail(std::string("bad event line: ") + e.what());
-        }
-      }
-      Tokens mt(r.next_line(), r);
-      mt.expect("metrics");
-      ss.has_metrics = mt.flag();
-      mt.done();
-      if (ss.has_metrics) {
-        ss.metrics = read_registry(r);
-      }
-      ck.sessions.push_back(std::move(ss));
+      seg.sessions.push_back(read_session(r, seg));
     }
   }
-
   if (!r.at_end()) {
     r.fail("trailing data after last session");
   }
+  return seg;
+}
+
+/// Serializes one whole segment (head, sessions, trailer) onto `s`.
+void put_segment(std::string& s, const FleetCheckpoint::Segment& seg,
+                 std::uint64_t number) {
+  const std::size_t start = s.size();
+  put_segment_head(s, seg, number, seg.sessions.size());
+  for (const FleetCheckpoint::SessionState& ss : seg.sessions) {
+    put_session(s, ss.record, ss.has_events ? &ss.events : nullptr,
+                ss.has_metrics ? &ss.metrics : nullptr);
+  }
+  put_trailer(s, start);
+}
+
+}  // namespace
+
+void FleetCheckpoint::save(const std::string& path) const {
+  std::string s;
+  s.reserve(1 << 16);
+  for (std::size_t i = 0; i < segments.size(); ++i) {
+    put_segment(s, segments[i], i + 1);
+  }
+  write_atomically(path, s, "FleetCheckpoint::save");
+}
+
+FleetCheckpoint FleetCheckpoint::load(const std::string& path) {
+  const std::string data = read_all(path);
+  check_format_line(data);
+
+  FleetCheckpoint ck;
+  std::unordered_set<std::uint64_t> seen;  // sized by the file, not a header
+  std::uint64_t journaled = 0;
+  std::size_t pos = 0;
+  while (pos < data.size()) {
+    const std::uint64_t number = ck.segments.size() + 1;
+    const std::string where = "checkpoint: segment " + std::to_string(number);
+    // A segment runs to the first trailer line after its header ("end " is
+    // no other record's tag). No complete trailer: a torn final segment.
+    const std::size_t nl_end = data.find("\nend ", pos);
+    const std::size_t eol = nl_end == std::string::npos
+                                ? std::string::npos
+                                : data.find('\n', nl_end + 1);
+    if (eol == std::string::npos) {
+      if (number == 1) {
+        throw CheckpointError(where +
+                              ": incomplete (truncated file; no complete "
+                              "segment)");
+      }
+      break;  // torn tail: dropped
+    }
+    const std::size_t trailer_at = nl_end + 1;
+    const std::size_t end = eol + 1;
+    if (!trailer_ok(data, pos, trailer_at, eol)) {
+      if (end == data.size() && number > 1) {
+        break;  // checksum-failing final segment: dropped like a torn tail
+      }
+      throw CheckpointError(
+          where + ": trailer checksum mismatch (" +
+          (end == data.size() ? "the only segment is corrupt"
+                              : "corrupt interior segment") +
+          ")");
+    }
+
+    Segment seg = read_segment(
+        std::string_view(data.data() + pos, trailer_at - pos), number);
+    if (number > 1) {
+      const Segment& first = ck.segments.front();
+      if (seg.engine != first.engine ||
+          seg.spec_fingerprint != first.spec_fingerprint ||
+          seg.experiment_fingerprint != first.experiment_fingerprint ||
+          seg.num_sessions != first.num_sessions ||
+          seg.num_titles != first.num_titles ||
+          seg.max_tracks != first.max_tracks) {
+        throw CheckpointError(where +
+                              ": header disagrees with segment 1 (engine, "
+                              "fingerprints, or geometry)");
+      }
+    }
+    for (const SessionState& ss : seg.sessions) {
+      if (!seen.insert(ss.record.session_id).second) {
+        throw CheckpointError(where + ": session " +
+                              std::to_string(ss.record.session_id) +
+                              " is journaled twice");
+      }
+    }
+    journaled += seg.sessions.size();
+    if (journaled != seg.sessions_done) {
+      throw CheckpointError(where +
+                            ": sessions_done disagrees with the sessions "
+                            "journaled so far");
+    }
+    ck.segments.push_back(std::move(seg));
+    pos = end;
+  }
+  ck.good_bytes = pos;
   return ck;
+}
+
+CheckpointJournal::CheckpointJournal(std::string path,
+                                     std::size_t num_sessions)
+    : path_(std::move(path)), journaled_(num_sessions, 0) {}
+
+void CheckpointJournal::resume_from(const FleetCheckpoint& ck) {
+  for (const FleetCheckpoint::Segment& seg : ck.segments) {
+    for (const FleetCheckpoint::SessionState& ss : seg.sessions) {
+      journaled_[static_cast<std::size_t>(ss.record.session_id)] = 1;
+    }
+  }
+  segments_ = ck.segments.size();
+  bytes_ = ck.good_bytes;
+}
+
+void CheckpointJournal::append(
+    const FleetCheckpoint::Segment& head,
+    const std::vector<std::size_t>& done_sids,
+    const std::vector<FleetSessionRecord>& records,
+    const std::vector<std::unique_ptr<obs::MemoryTraceSink>>& sinks,
+    const std::vector<std::unique_ptr<obs::MetricsRegistry>>& registries) {
+  std::vector<std::size_t> fresh;
+  for (const std::size_t sid : done_sids) {
+    if (journaled_[sid] == 0) {
+      fresh.push_back(sid);
+    }
+  }
+  std::sort(fresh.begin(), fresh.end());
+
+  std::string s;
+  put_segment_head(s, head, segments_ + 1, fresh.size());
+  for (const std::size_t sid : fresh) {
+    const obs::MemoryTraceSink* sink =
+        sid < sinks.size() ? sinks[sid].get() : nullptr;
+    const obs::MetricsRegistry* registry =
+        sid < registries.size() ? registries[sid].get() : nullptr;
+    put_session(s, records[sid], sink != nullptr ? &sink->events() : nullptr,
+                registry);
+  }
+  put_trailer(s, 0);
+
+  if (segments_ == 0) {
+    write_atomically(path_, s, "CheckpointJournal::append");
+  } else {
+    append_after(path_, bytes_, s, "CheckpointJournal::append");
+  }
+  ++segments_;
+  bytes_ += s.size();
+  for (const std::size_t sid : fresh) {
+    journaled_[sid] = 1;
+  }
 }
 
 }  // namespace vbr::fleet

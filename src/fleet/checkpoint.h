@@ -18,19 +18,32 @@
 // final-output is, and that is the property the tests pin.
 //
 // Snapshot safety: checkpoints are taken at a cooperative barrier — every
-// worker parks at a session boundary, the last arriver serializes — so a
-// snapshot never sees a half-run session. Durability: the file is written
-// to `<path>.tmp`, fsynced, atomically renamed over `<path>`, and the
-// directory is fsynced; a crash mid-write leaves the previous checkpoint
-// intact. Format: versioned text ("VBRFLEETCKPT 3"), shortest-round-trip
-// doubles (exact), telemetry as checksummed JSONL lines, and a whole-file
-// FNV-1a trailer. load() rejects bad magic, unknown versions, trailer
-// mismatches, and a spec fingerprint that does not match the running spec
-// (a stale checkpoint from a different workload) — each with a named
-// CheckpointError.
+// worker parks at a session boundary (the event engine: between event
+// batches) — so a snapshot never sees a half-run session.
+//
+// The file is an append-only journal ("VBRFLEETCKPT 5"). Each snapshot
+// appends one segment: a header line (segment number, engine, events done,
+// fingerprints, geometry, sessions done), the small shared state (per-title
+// done counts, track rows, shard / regional / in-flight contents of
+// in-progress titles), and only the sessions completed since the previous
+// segment, closed by its own "end <8hex>" FNV-1a trailer. Checkpoint work is
+// therefore O(new sessions) per snapshot, not O(run). Durability follows the
+// durable JSONL sinks (obs/jsonl_io.h): the first segment of a fresh run
+// replaces any old file atomically (temp file + fsync + rename + directory
+// fsync); later segments are appended and fsynced. A torn or checksum-
+// failing *final* segment is the expected crash signature and load() drops
+// it; a resumed run truncates the file to the last good segment before it
+// appends. A damaged *interior* segment is a CheckpointError naming the
+// segment. load() also rejects bad magic, other versions (including the
+// whole-file v3/v4 snapshots), malformed fields, and inconsistent segment
+// sequences; run_fleet rejects a spec fingerprint that does not match the
+// running spec (a stale checkpoint from a different workload) and a journal
+// written by the other engine — each with a named CheckpointError.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -40,6 +53,7 @@
 #include "fleet/fleet.h"
 #include "obs/event.h"
 #include "obs/metrics.h"
+#include "obs/trace_sink.h"
 
 namespace vbr::fleet {
 
@@ -98,36 +112,13 @@ class FleetKilled : public std::runtime_error {
 /// fixed non-zero value).
 [[nodiscard]] std::uint64_t fleet_experiment_fingerprint(const FleetSpec& spec);
 
-/// Versioned snapshot of run_fleet progress. See the header comment for
-/// the determinism argument and the on-disk format.
+/// A checkpoint journal: the ordered segments of one run's snapshots. See
+/// the header comment for the determinism argument and the on-disk format.
 struct FleetCheckpoint {
-  /// Format written by the per-session stepper ("VBRFLEETCKPT 3").
-  static constexpr std::uint32_t kVersion = 3;
-  /// Format written by the event engine ("VBRFLEETCKPT 4"): identical to
-  /// version 3 plus one "engine <events_done>" line after the meta line.
-  /// Engines cannot resume each other's files — a v3 snapshot locates the
-  /// resume point as a per-title done-prefix, while a v4 snapshot from an
-  /// uncoupled event run records an arbitrary completed-session set —
-  /// run_fleet rejects the cross-mode combinations with a CheckpointError
-  /// naming FleetSpec.engine. The spec fingerprint is engine-invariant
-  /// (the engine is an execution knob), so the version carries the mode.
-  static constexpr std::uint32_t kEventVersion = 4;
-
-  /// Which format this snapshot uses (and save() writes).
-  std::uint32_t version = kVersion;
-  /// Event engine only (version >= 4): events processed when the snapshot
-  /// was taken. Resume re-anchors the event-count checkpoint barrier here
-  /// so periodic snapshots stay on the same cadence.
-  std::uint64_t events_done = 0;
-
-  std::uint64_t spec_fingerprint = 0;
-  /// fleet_experiment_fingerprint(spec) at capture time; checked first on
-  /// resume so a changed arm table gets a field-named error.
-  std::uint64_t experiment_fingerprint = 0;
-  std::uint64_t num_sessions = 0;  ///< Total sessions of the run.
-  std::uint64_t num_titles = 0;
-  std::uint64_t max_tracks = 0;
-  std::uint64_t sessions_done = 0;
+  /// The journal format ("VBRFLEETCKPT 5"). Versions 3 and 4 were
+  /// whole-file snapshots rewritten at every checkpoint; load() rejects them
+  /// with an error naming the version.
+  static constexpr std::uint32_t kVersion = 5;
 
   /// Progress of one title that has at least one completed session. A
   /// title's sessions run serially in arrival order, so `done` fully
@@ -156,7 +147,6 @@ struct FleetCheckpoint {
     std::vector<EdgeCacheEntrySnapshot> regional_entries;
     std::vector<std::pair<std::uint64_t, CdnInflight>> inflight;
   };
-  std::vector<TitleState> titles;
 
   /// One completed session: its record plus its private telemetry (events
   /// and metrics registry), exactly as the post-join fold will consume
@@ -168,19 +158,88 @@ struct FleetCheckpoint {
     bool has_metrics = false;
     obs::MetricsRegistry metrics;
   };
-  std::vector<SessionState> sessions;  ///< Session-id order.
 
-  /// Atomically writes the checkpoint: temp file + fsync + rename +
-  /// directory fsync. Throws std::system_error (carrying errno) on any
+  /// One appended snapshot. The header fields and `titles` describe the
+  /// whole run at capture time; `sessions` holds only the sessions this
+  /// segment journaled first. Resume takes the last segment's header and
+  /// titles and the union of every segment's sessions.
+  struct Segment {
+    /// The engine that wrote the segment. The engines locate the resume
+    /// point differently (per-title done prefixes vs an arbitrary completed
+    /// set), so run_fleet refuses a journal from the other engine, naming
+    /// FleetSpec.engine. The spec fingerprint is engine-invariant.
+    FleetEngine engine = FleetEngine::kStepped;
+    /// Event engine: events processed at capture; resume re-anchors the
+    /// event-count checkpoint cadence here. 0 under the stepper.
+    std::uint64_t events_done = 0;
+    std::uint64_t spec_fingerprint = 0;
+    /// fleet_experiment_fingerprint(spec) at capture time; checked first on
+    /// resume so a changed arm table gets a field-named error.
+    std::uint64_t experiment_fingerprint = 0;
+    std::uint64_t num_sessions = 0;  ///< Total sessions of the run.
+    std::uint64_t num_titles = 0;
+    std::uint64_t max_tracks = 0;
+    /// Completed sessions at capture: this segment's plus every earlier
+    /// segment's.
+    std::uint64_t sessions_done = 0;
+    std::vector<TitleState> titles;
+    std::vector<SessionState> sessions;  ///< Session-id order.
+  };
+  std::vector<Segment> segments;  ///< Journal order; load() keeps >= 1.
+
+  /// Set by load(): the length of the accepted segment prefix. It is the
+  /// file size unless a torn final segment was dropped.
+  std::uint64_t good_bytes = 0;
+
+  /// Writes every segment to `path` atomically: temp file + fsync + rename
+  /// + directory fsync. save(load(f)) reproduces f byte for byte (less a
+  /// dropped torn tail). Throws std::system_error (carrying errno) on any
   /// I/O failure — a checkpoint that silently failed to persist is worse
   /// than none.
   void save(const std::string& path) const;
 
-  /// Loads and fully validates a checkpoint file. Throws CheckpointError
-  /// naming the problem (magic, version, truncation, trailer checksum,
-  /// malformed field); throws std::system_error when the file cannot be
-  /// opened or read.
+  /// Loads and fully validates a journal, dropping a torn or checksum-
+  /// failing final segment. Throws CheckpointError naming the problem
+  /// (magic, version, damaged segment number, malformed field, inconsistent
+  /// segment sequence, no complete segment); throws std::system_error when
+  /// the file cannot be opened or read.
   [[nodiscard]] static FleetCheckpoint load(const std::string& path);
+};
+
+/// The in-run writer of a checkpoint journal, shared by both engines. Each
+/// append() serializes one segment: the caller's header and title states,
+/// plus the completed sessions not yet journaled, straight from the run's
+/// live records and telemetry slots — with the same serializer as
+/// FleetCheckpoint::save, so the bytes are identical to save() of the
+/// loaded journal.
+class CheckpointJournal {
+ public:
+  CheckpointJournal(std::string path, std::size_t num_sessions);
+
+  /// Continues the journal a resumed run loaded: its sessions count as
+  /// journaled, segment numbers continue after its last segment, and the
+  /// next append first truncates the file to `ck.good_bytes` (dropping any
+  /// torn tail).
+  void resume_from(const FleetCheckpoint& ck);
+
+  /// Appends one segment. `head` supplies the header fields and title
+  /// states (its `sessions` are ignored); the segment's sessions are those
+  /// of `done_sids` (any order) not yet journaled, in id order. The first
+  /// segment of a fresh journal replaces any file at the path atomically;
+  /// later ones are appended after the last good segment and fsynced.
+  /// Throws std::system_error on I/O failure.
+  void append(
+      const FleetCheckpoint::Segment& head,
+      const std::vector<std::size_t>& done_sids,
+      const std::vector<FleetSessionRecord>& records,
+      const std::vector<std::unique_ptr<obs::MemoryTraceSink>>& sinks,
+      const std::vector<std::unique_ptr<obs::MetricsRegistry>>& registries);
+
+ private:
+  std::string path_;
+  std::vector<std::uint8_t> journaled_;  ///< Per session id.
+  std::uint64_t segments_ = 0;           ///< Segments in the file.
+  std::uint64_t bytes_ = 0;              ///< Length of those segments.
 };
 
 }  // namespace vbr::fleet

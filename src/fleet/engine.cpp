@@ -516,19 +516,19 @@ class EventEngine {
     }
   }
 
-  /// "VBRFLEETCKPT 4" snapshot between batches. Completed titles and
-  /// track/record state are live-consistent (mutated only at completion);
-  /// in-progress chained titles serialize their last boundary snapshot.
+  /// Journal segment between batches. Completed titles and track/record
+  /// state are live-consistent (mutated only at completion); in-progress
+  /// chained titles serialize their last boundary snapshot.
   void save_checkpoint() {
-    FleetCheckpoint ck;
-    ck.version = FleetCheckpoint::kEventVersion;
-    ck.events_done = events_done_;
-    ck.spec_fingerprint = ctx_.fp;
-    ck.experiment_fingerprint = ctx_.exp_fp;
-    ck.num_sessions = n_;
-    ck.num_titles = num_titles_;
-    ck.max_tracks = ctx_.max_tracks;
-    ck.sessions_done = sessions_done_;
+    FleetCheckpoint::Segment head;
+    head.engine = FleetEngine::kEvent;
+    head.events_done = events_done_;
+    head.spec_fingerprint = ctx_.fp;
+    head.experiment_fingerprint = ctx_.exp_fp;
+    head.num_sessions = n_;
+    head.num_titles = num_titles_;
+    head.max_tracks = ctx_.max_tracks;
+    head.sessions_done = sessions_done_;
     for (std::size_t k = 0; k < num_titles_; ++k) {
       const std::size_t dk = ctx_.done_in_title[k];
       if (dk == 0) {
@@ -567,11 +567,11 @@ class EventEngine {
           ts.regional_stats = cst.regional_stats;
         }
       }
-      ck.titles.push_back(std::move(ts));
+      head.titles.push_back(std::move(ts));
     }
-    // The completed bitmap is already in ascending session-id order; with
-    // uncoupled interleaving the done set need not be per-title prefixes,
-    // which is exactly why the stepper cannot resume a v4 file.
+    // With uncoupled interleaving the done set need not be per-title
+    // prefixes; the journal takes whichever completed sessions it has not
+    // written yet.
     std::vector<std::size_t> done_sids;
     done_sids.reserve(sessions_done_);
     for (std::size_t sid = 0; sid < n_; ++sid) {
@@ -579,9 +579,8 @@ class EventEngine {
         done_sids.push_back(sid);
       }
     }
-    collect_checkpoint_sessions(ctx_.spec, ctx_.result, ctx_.sinks,
-                                ctx_.registries, done_sids, ck);
-    ck.save(ctx_.spec.checkpoint_path);
+    ctx_.journal->append(head, done_sids, ctx_.result.sessions, ctx_.sinks,
+                         ctx_.registries);
   }
 
   /// Per-title immutable data built lazily at first completion (serial

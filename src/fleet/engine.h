@@ -32,8 +32,9 @@
 // monotone (chained admissions may legitimately rewind it, since a
 // successor's arrival can precede the global clock).
 //
-// Crash safety. Event-engine checkpoints are "VBRFLEETCKPT 4" (one extra
-// "engine <events_done>" line): periodic snapshots fire on event-count
+// Crash safety. The event engine appends to the same checkpoint journal
+// as the stepper (fleet/checkpoint.h), its segment headers saying "engine
+// event" and carrying events_done: periodic segments fire on event-count
 // barriers between batches, kills at batch boundaries. Chained titles
 // snapshot their shared delivery state at each session completion (a
 // boundary snapshot), because the live shard mid-batch can reflect a

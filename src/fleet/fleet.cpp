@@ -342,28 +342,6 @@ void TelemetryFold::finish() {
   }
 }
 
-void collect_checkpoint_sessions(
-    const FleetSpec& spec, const FleetResult& result,
-    const std::vector<std::unique_ptr<obs::MemoryTraceSink>>& sinks,
-    const std::vector<std::unique_ptr<obs::MetricsRegistry>>& registries,
-    const std::vector<std::size_t>& done_sids, FleetCheckpoint& ck) {
-  ck.sessions.reserve(done_sids.size());
-  for (const std::size_t sid : done_sids) {
-    FleetCheckpoint::SessionState ss;
-    ss.record = result.sessions[sid];
-    if (spec.trace != nullptr && sinks[sid]) {
-      ss.has_events = true;
-      ss.events.assign(sinks[sid]->events().begin(),
-                       sinks[sid]->events().end());
-    }
-    if (spec.metrics != nullptr && registries[sid]) {
-      ss.has_metrics = true;
-      ss.metrics = *registries[sid];
-    }
-    ck.sessions.push_back(std::move(ss));
-  }
-}
-
 }  // namespace detail
 
 void WatchConfig::validate() const {
@@ -697,50 +675,57 @@ FleetResult run_fleet(const FleetSpec& spec) {
   std::uint64_t initial_events = 0;
   std::vector<std::uint8_t> resumed_completed;
   const bool event_engine = spec.engine == FleetEngine::kEvent;
+  std::optional<CheckpointJournal> journal;
+  if (!spec.checkpoint_path.empty()) {
+    journal.emplace(spec.checkpoint_path, n);
+  }
   if (spec.resume && file_exists(spec.checkpoint_path)) {
     const FleetCheckpoint ck = FleetCheckpoint::load(spec.checkpoint_path);
+    // Resume state: the last segment's header and shared state, plus the
+    // union of every segment's sessions (load() checked that the segments
+    // agree and journal each session once).
+    const FleetCheckpoint::Segment& head = ck.segments.back();
     // The experiment block is checked before the whole-spec fingerprint so
     // a re-randomized or re-armed experiment gets an error naming the
     // field instead of a generic mismatch: resuming under a different arm
     // table would silently mix assignment schedules.
-    if (ck.experiment_fingerprint != exp_fp) {
+    if (head.experiment_fingerprint != exp_fp) {
       throw CheckpointError(
           "checkpoint: FleetSpec.experiment changed since this checkpoint "
           "was written (arms / seed / trace_strata / score_qoe_models) — "
           "resuming under a different arm table is not allowed (stale "
           "checkpoint)");
     }
-    if (ck.spec_fingerprint != fp) {
+    if (head.spec_fingerprint != fp) {
       throw CheckpointError(
           "checkpoint: spec fingerprint mismatch — this checkpoint belongs "
           "to a different workload (stale checkpoint)");
     }
-    // Engines cannot resume each other's snapshots: a v3 file locates the
-    // resume point as per-title done-prefixes, a v4 file records the event
-    // engine's completed-session set (arbitrary under uncoupled
-    // interleaving). Checked after the fingerprints so a stale workload is
-    // still reported as such first.
-    if (event_engine && ck.version < FleetCheckpoint::kEventVersion) {
+    // Engines cannot resume each other's journals: the stepper locates the
+    // resume point as per-title done-prefixes, the event engine records an
+    // arbitrary completed-session set (uncoupled interleaving). Checked
+    // after the fingerprints so a stale workload is still reported as such
+    // first.
+    if (event_engine && head.engine != FleetEngine::kEvent) {
       throw CheckpointError(
-          "checkpoint: written by the per-session stepper (format v" +
-          std::to_string(ck.version) +
-          ") — FleetSpec.engine: the event engine cannot resume it (finish "
-          "under the stepper or remove the stale file)");
+          "checkpoint: written by the per-session stepper (segment header "
+          "'engine stepped') — FleetSpec.engine: the event engine cannot "
+          "resume it (finish under the stepper or remove the stale file)");
     }
-    if (!event_engine && ck.version >= FleetCheckpoint::kEventVersion) {
+    if (!event_engine && head.engine != FleetEngine::kStepped) {
       throw CheckpointError(
-          "checkpoint: written by the event engine (format v" +
-          std::to_string(ck.version) +
-          ") — FleetSpec.engine: the per-session stepper cannot resume it "
-          "(finish under the event engine or remove the stale file)");
+          "checkpoint: written by the event engine (segment header 'engine "
+          "event') — FleetSpec.engine: the per-session stepper cannot "
+          "resume it (finish under the event engine or remove the stale "
+          "file)");
     }
-    if (ck.num_sessions != n || ck.num_titles != num_titles ||
-        ck.max_tracks != max_tracks) {
+    if (head.num_sessions != n || head.num_titles != num_titles ||
+        head.max_tracks != max_tracks) {
       throw CheckpointError(
           "checkpoint: geometry mismatch (sessions/titles/tracks)");
     }
-    initial_events = ck.events_done;
-    for (const FleetCheckpoint::TitleState& ts : ck.titles) {
+    initial_events = head.events_done;
+    for (const FleetCheckpoint::TitleState& ts : head.titles) {
       const std::size_t k = static_cast<std::size_t>(ts.index);
       if (ts.total != by_title[k].size()) {
         throw CheckpointError(
@@ -794,8 +779,7 @@ FleetResult run_fleet(const FleetSpec& spec) {
       }
       initial_done += ts.done;
     }
-    if (initial_done != ck.sessions_done ||
-        ck.sessions.size() != initial_done) {
+    if (initial_done != head.sessions_done) {
       throw CheckpointError(
           "checkpoint: session count inconsistent with per-title "
           "progress");
@@ -805,31 +789,35 @@ FleetResult run_fleet(const FleetSpec& spec) {
       // uncoupled sessions they need not form per-title prefixes.
       resumed_completed.assign(n, 0);
     }
-    for (const FleetCheckpoint::SessionState& ss : ck.sessions) {
-      const std::size_t sid = static_cast<std::size_t>(ss.record.session_id);
-      if (event_engine) {
-        resumed_completed[sid] = 1;
-      }
-      if (spec.trace != nullptr) {
-        if (!ss.has_events) {
-          throw CheckpointError(
-              "checkpoint: session is missing its event stream");
+    for (const FleetCheckpoint::Segment& seg : ck.segments) {
+      for (const FleetCheckpoint::SessionState& ss : seg.sessions) {
+        const std::size_t sid =
+            static_cast<std::size_t>(ss.record.session_id);
+        if (event_engine) {
+          resumed_completed[sid] = 1;
         }
-        sinks[sid] = std::make_unique<obs::MemoryTraceSink>();
-        for (const obs::DecisionEvent& ev : ss.events) {
-          sinks[sid]->on_decision(ev);
+        if (spec.trace != nullptr) {
+          if (!ss.has_events) {
+            throw CheckpointError(
+                "checkpoint: session is missing its event stream");
+          }
+          sinks[sid] = std::make_unique<obs::MemoryTraceSink>();
+          for (const obs::DecisionEvent& ev : ss.events) {
+            sinks[sid]->on_decision(ev);
+          }
         }
-      }
-      if (spec.metrics != nullptr) {
-        if (!ss.has_metrics) {
-          throw CheckpointError(
-              "checkpoint: session is missing its metrics registry");
+        if (spec.metrics != nullptr) {
+          if (!ss.has_metrics) {
+            throw CheckpointError(
+                "checkpoint: session is missing its metrics registry");
+          }
+          registries[sid] =
+              std::make_unique<obs::MetricsRegistry>(ss.metrics);
         }
-        registries[sid] =
-            std::make_unique<obs::MetricsRegistry>(ss.metrics);
+        result.sessions[sid] = ss.record;
       }
-      result.sessions[sid] = ss.record;
     }
+    journal->resume_from(ck);
   }
 
   const sim::EstimatorFactory default_estimator =
@@ -872,6 +860,7 @@ FleetResult run_fleet(const FleetSpec& spec) {
                                initial_events,
                                resumed_completed.empty() ? nullptr
                                                          : &resumed_completed,
+                               journal ? &*journal : nullptr,
                                done_in_title,
                                shards,
                                shard_stats,
@@ -888,13 +877,14 @@ FleetResult run_fleet(const FleetSpec& spec) {
     // Snapshot closure: runs only at the coordinator barrier, when every
     // worker is parked at a session boundary.
     auto save_checkpoint = [&](std::uint64_t sessions_done_now) {
-      FleetCheckpoint ck;
-      ck.spec_fingerprint = fp;
-      ck.experiment_fingerprint = exp_fp;
-      ck.num_sessions = n;
-      ck.num_titles = num_titles;
-      ck.max_tracks = max_tracks;
-      ck.sessions_done = sessions_done_now;
+      FleetCheckpoint::Segment head;
+      head.engine = FleetEngine::kStepped;
+      head.spec_fingerprint = fp;
+      head.experiment_fingerprint = exp_fp;
+      head.num_sessions = n;
+      head.num_titles = num_titles;
+      head.max_tracks = max_tracks;
+      head.sessions_done = sessions_done_now;
       std::vector<std::size_t> done_sids;
       done_sids.reserve(sessions_done_now);
       for (std::size_t k = 0; k < num_titles; ++k) {
@@ -933,15 +923,11 @@ FleetResult run_fleet(const FleetSpec& spec) {
             ts.regional_stats = cst.regional_stats;
           }
         }
-        ck.titles.push_back(std::move(ts));
-        for (std::size_t idx = 0; idx < dk; ++idx) {
-          done_sids.push_back(by_title[k][idx]);
-        }
+        head.titles.push_back(std::move(ts));
+        done_sids.insert(done_sids.end(), by_title[k].begin(),
+                         by_title[k].begin() + static_cast<std::ptrdiff_t>(dk));
       }
-      std::sort(done_sids.begin(), done_sids.end());
-      detail::collect_checkpoint_sessions(spec, result, sinks, registries,
-                                          done_sids, ck);
-      ck.save(spec.checkpoint_path);
+      journal->append(head, done_sids, result.sessions, sinks, registries);
     };
 
     CheckpointCoordinator coord(threads, !spec.checkpoint_path.empty(),

@@ -96,15 +96,6 @@ struct TelemetryFold {
   void finish();
 };
 
-/// Serializes the completed sessions listed in `done_sids` (ascending)
-/// into `ck.sessions` — records plus whichever private telemetry streams
-/// the spec collects. Shared by both engines' snapshot paths.
-void collect_checkpoint_sessions(
-    const FleetSpec& spec, const FleetResult& result,
-    const std::vector<std::unique_ptr<obs::MemoryTraceSink>>& sinks,
-    const std::vector<std::unique_ptr<obs::MetricsRegistry>>& registries,
-    const std::vector<std::size_t>& done_sids, FleetCheckpoint& ck);
-
 /// Borrowed views of run_fleet's setup, handed to the event engine. Every
 /// reference points at a local of the calling run_fleet invocation and is
 /// valid for the duration of run_fleet_event only.
@@ -133,6 +124,9 @@ struct EngineContext {
   /// Resume only: per-session completed bitmap (size n); null on a fresh
   /// run.
   const std::vector<std::uint8_t>* resumed_completed = nullptr;
+  /// Checkpoint journal writer; null unless FleetSpec::checkpoint_path is
+  /// set.
+  CheckpointJournal* journal = nullptr;
 
   // Mutable per-title / per-session state owned by run_fleet.
   std::vector<std::size_t>& done_in_title;

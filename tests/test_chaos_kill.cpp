@@ -174,7 +174,7 @@ TEST(ChaosKill, CooperativeKillExitsThreeAndResumesToGolden) {
 
 TEST(ChaosKill, EventEngineSigkillResumeLoopConvergesToStepperGolden) {
   // Same hard-death soak, but the chaos legs run the shared-virtual-time
-  // event engine (--fleet-engine event, "VBRFLEETCKPT 4" checkpoints with
+  // event engine (--fleet-engine event, journal segments cut at an
   // event-count cadence) while the golden stays on the default stepper —
   // so convergence proves SIGKILL-resume AND cross-engine byte equality
   // in one loop.
@@ -233,7 +233,8 @@ TEST(ChaosKill, EventEngineCooperativeKillExitsThreeAndResumes) {
   killed.push_back("13");
   EXPECT_EQ(run_vbrsim(killed).exit_code, 3);
   const std::string ck = read_file(dir + "ck.ckpt");
-  EXPECT_EQ(ck.rfind("VBRFLEETCKPT 4\n", 0), 0u);  // the v4 format
+  // A journal whose segments the event engine wrote.
+  EXPECT_EQ(ck.rfind("VBRFLEETCKPT 5 seg 1 engine event ", 0), 0u);
 
   EXPECT_EQ(run_vbrsim(fleet_args(dir, 0, "event")).exit_code, 0);
   EXPECT_EQ(read_file(dir + "report.json"), golden_report);

@@ -4,6 +4,7 @@
 // errno-carrying save failures.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -16,6 +17,7 @@
 #include "abr/bba.h"
 #include "abr/scheme.h"
 #include "exp/ab.h"
+#include "fleet/arrivals.h"
 #include "fleet/checkpoint.h"
 #include "fleet/fleet.h"
 #include "obs/jsonl_io.h"
@@ -127,6 +129,41 @@ std::string with_trailer(std::string body) {
   return body;
 }
 
+/// Sessions across every segment of a loaded journal.
+std::uint64_t journaled_sessions(const fleet::FleetCheckpoint& ck) {
+  std::uint64_t n = 0;
+  for (const fleet::FleetCheckpoint::Segment& seg : ck.segments) {
+    n += seg.sessions.size();
+  }
+  return n;
+}
+
+/// Byte offset at which each segment of a journal file starts (the byte
+/// after the previous segment's "end <8hex>" trailer line).
+std::vector<std::size_t> segment_starts(const std::string& bytes) {
+  std::vector<std::size_t> starts{0};
+  std::size_t at = bytes.find("\nend ");
+  while (at != std::string::npos) {
+    const std::size_t next = bytes.find('\n', at + 1) + 1;
+    if (next < bytes.size()) {
+      starts.push_back(next);
+    }
+    at = bytes.find("\nend ", next);
+  }
+  return starts;
+}
+
+/// The message of the CheckpointError load(path) throws ("(no error)" when
+/// it loads).
+std::string load_error(const std::string& path) {
+  try {
+    (void)fleet::FleetCheckpoint::load(path);
+    return "(no error)";
+  } catch (const fleet::CheckpointError& e) {
+    return e.what();
+  }
+}
+
 TEST(Checkpoint, KillAndResumeIsByteIdenticalAtAnyPointAndThreadCount) {
   const std::vector<net::Trace> traces = two_traces();
   const std::string golden =
@@ -188,18 +225,21 @@ TEST(Checkpoint, ResumeWithAbsentFileIsAFreshRun) {
 }
 
 TEST(Checkpoint, SaveLoadSaveIsByteExact) {
-  // load() is an exact inverse of save(): re-serializing a loaded
-  // checkpoint reproduces the file byte for byte (doubles are shortest
-  // round-trip, telemetry lines are canonical).
+  // load() is an exact inverse of save(): re-serializing a loaded journal
+  // reproduces the file byte for byte, segment structure included (doubles
+  // are shortest round-trip, telemetry lines are canonical).
   const std::vector<net::Trace> traces = two_traces();
   const std::string path = testing::TempDir() + "ck_roundtrip.ckpt";
   std::remove(path.c_str());
   run_until_killed(ck_spec(traces, path), 2, 13);
 
   const fleet::FleetCheckpoint ck = fleet::FleetCheckpoint::load(path);
-  EXPECT_GT(ck.num_sessions, 13u);  // rate x horizon yields ~37 arrivals
-  EXPECT_GE(ck.sessions_done, 13u);
-  EXPECT_EQ(ck.sessions.size(), ck.sessions_done);
+  ASSERT_EQ(ck.segments.size(), 2u);  // the periodic one at 8, the kill's
+  const fleet::FleetCheckpoint::Segment& last = ck.segments.back();
+  EXPECT_GT(last.num_sessions, 13u);  // rate x horizon yields ~37 arrivals
+  EXPECT_GE(last.sessions_done, 13u);
+  EXPECT_EQ(journaled_sessions(ck), last.sessions_done);
+  EXPECT_EQ(ck.good_bytes, read_file(path).size());
 
   const std::string copy = path + ".copy";
   ck.save(copy);
@@ -257,6 +297,9 @@ TEST(Checkpoint, CorruptFilesRejectedWithNamedErrors) {
   run_until_killed(ck_spec(traces, path), 2, 10);
   const std::string good = read_file(path);
   ASSERT_GT(good.size(), 200u);
+  const std::vector<std::size_t> starts = segment_starts(good);
+  ASSERT_EQ(starts.size(), 2u);  // the periodic segment at 8, the kill's
+  const std::size_t first_end = starts[1];
 
   const auto expect_rejected = [&](const std::string& bytes,
                                    const char* what) {
@@ -266,10 +309,12 @@ TEST(Checkpoint, CorruptFilesRejectedWithNamedErrors) {
         << what;
   };
   expect_rejected("", "empty file");
-  expect_rejected(good.substr(0, good.size() / 2), "truncated file");
+  // The first segment is written atomically, so a torn one is damage, not
+  // a crash signature: nothing usable remains.
+  expect_rejected(good.substr(0, first_end / 2), "truncated first segment");
   {
     std::string flipped = good;
-    flipped[good.size() / 2] ^= 0x20;  // damage one interior byte
+    flipped[first_end / 2] ^= 0x20;  // damage one interior byte
     expect_rejected(flipped, "interior bit flip (trailer mismatch)");
   }
   expect_rejected(with_trailer("NOTACKPT 1\nmeta 0 0 0 0 0\n"),
@@ -277,10 +322,12 @@ TEST(Checkpoint, CorruptFilesRejectedWithNamedErrors) {
   expect_rejected(with_trailer("VBRFLEETCKPT 99\nmeta 0 0 0 0 0\n"),
                   "unsupported version");
   {
-    // Valid trailer, garbage body: the field parser must name the problem,
-    // not crash.
-    expect_rejected(with_trailer("VBRFLEETCKPT 3\nmeta not-a-number\n"),
-                    "malformed meta line");
+    // Valid trailer, garbage header: the field parser must name the
+    // problem, not crash.
+    expect_rejected(
+        with_trailer("VBRFLEETCKPT 5 seg 1 engine stepped events 0 meta "
+                     "not-a-number\n"),
+        "malformed meta fields");
   }
   // A pre-experiment (v2) checkpoint has no experiment fingerprint slot:
   // the version gate rejects it rather than guessing.
@@ -288,7 +335,9 @@ TEST(Checkpoint, CorruptFilesRejectedWithNamedErrors) {
                   "pre-experiment checkpoint version");
 
   // And the full resume path surfaces the same rejection.
-  write_file(path, good.substr(0, good.size() - 3));
+  std::string damaged = good;
+  damaged[first_end / 2] ^= 0x20;
+  write_file(path, damaged);
   fleet::FleetSpec resume = ck_spec(traces, path);
   resume.resume = true;
   obs::MemoryTraceSink sink;
@@ -543,9 +592,10 @@ TEST(Checkpoint, FleetSpecValidateNamesTheField) {
 }
 
 // -----------------------------------------------------------------------
-// Event-engine crash safety: the shared-virtual-time engine writes
-// "VBRFLEETCKPT 4" (one extra "engine <events_done>" line), resumes to
-// byte-identical output, and neither engine can resume the other's files.
+// Event-engine crash safety: the shared-virtual-time engine appends to the
+// same journal (segment headers say "engine event" and carry its
+// events_done), resumes to byte-identical output, and neither engine can
+// resume the other's journal.
 // -----------------------------------------------------------------------
 
 /// ck_spec running under the event engine, checkpointing every 8 EVENTS
@@ -603,22 +653,25 @@ TEST(Checkpoint, EventEngineRepeatedKillsChainToTheSameGolden) {
   std::remove(path.c_str());
 }
 
-TEST(Checkpoint, EventEngineWritesV4AndRoundTripsByteExact) {
+TEST(Checkpoint, EventEngineJournalHeaderRoundTripsByteExact) {
   const std::vector<net::Trace> traces = two_traces();
-  const std::string path = testing::TempDir() + "ck_event_v4.ckpt";
+  const std::string path = testing::TempDir() + "ck_event_journal.ckpt";
   std::remove(path.c_str());
   run_until_killed(event_ck_spec(traces, path), 2, 13);
 
   const std::string bytes = read_file(path);
-  EXPECT_EQ(bytes.rfind("VBRFLEETCKPT 4\n", 0), 0u) << "v4 header";
-  EXPECT_NE(bytes.find("\nengine "), std::string::npos)
-      << "event-progress line";
+  EXPECT_EQ(bytes.rfind("VBRFLEETCKPT 5 seg 1 engine event events ", 0), 0u)
+      << "journal header";
 
   const fleet::FleetCheckpoint ck = fleet::FleetCheckpoint::load(path);
-  EXPECT_EQ(ck.version, fleet::FleetCheckpoint::kEventVersion);
-  EXPECT_GT(ck.events_done, 0u);
-  EXPECT_GE(ck.sessions_done, 13u);
-  EXPECT_EQ(ck.sessions.size(), ck.sessions_done);
+  ASSERT_GE(ck.segments.size(), 2u);
+  for (const fleet::FleetCheckpoint::Segment& seg : ck.segments) {
+    EXPECT_EQ(seg.engine, fleet::FleetEngine::kEvent);
+  }
+  const fleet::FleetCheckpoint::Segment& last = ck.segments.back();
+  EXPECT_GT(last.events_done, 0u);
+  EXPECT_GE(last.sessions_done, 13u);
+  EXPECT_EQ(journaled_sessions(ck), last.sessions_done);
 
   const std::string copy = path + ".copy";
   ck.save(copy);
@@ -646,35 +699,36 @@ TEST(Checkpoint, CrossEngineResumeRejectedBothWays) {
     }
   };
 
-  // A stepper (v3) file under the event engine...
-  const std::string v3_path = testing::TempDir() + "ck_cross_v3.ckpt";
-  std::remove(v3_path.c_str());
-  run_until_killed(ck_spec(traces, v3_path), 2, 10);
-  const std::string ev_msg = resume_error(event_ck_spec(traces, v3_path));
+  // A stepper journal under the event engine...
+  const std::string stepped_path = testing::TempDir() + "ck_cross_stepped.ckpt";
+  std::remove(stepped_path.c_str());
+  run_until_killed(ck_spec(traces, stepped_path), 2, 10);
+  const std::string ev_msg = resume_error(event_ck_spec(traces, stepped_path));
   EXPECT_NE(ev_msg.find("event engine cannot resume"), std::string::npos)
       << ev_msg;
   EXPECT_NE(ev_msg.find("FleetSpec.engine"), std::string::npos) << ev_msg;
 
-  // ...and an event-engine (v4) file under the stepper: both named.
-  const std::string v4_path = testing::TempDir() + "ck_cross_v4.ckpt";
-  std::remove(v4_path.c_str());
-  run_until_killed(event_ck_spec(traces, v4_path), 2, 10);
-  const std::string st_msg = resume_error(ck_spec(traces, v4_path));
+  // ...and an event-engine journal under the stepper: both named.
+  const std::string event_path = testing::TempDir() + "ck_cross_event.ckpt";
+  std::remove(event_path.c_str());
+  run_until_killed(event_ck_spec(traces, event_path), 2, 10);
+  const std::string st_msg = resume_error(ck_spec(traces, event_path));
   EXPECT_NE(st_msg.find("stepper cannot resume"), std::string::npos)
       << st_msg;
   EXPECT_NE(st_msg.find("FleetSpec.engine"), std::string::npos) << st_msg;
 
-  // The fingerprint stays engine-invariant: a v3 file still resumes under
-  // the stepper even when the event engine exists (no format coupling).
-  fleet::FleetSpec same = ck_spec(traces, v3_path);
+  // The fingerprint stays engine-invariant: a stepper journal still
+  // resumes under the stepper (the engine is a header field, not a
+  // fingerprint input).
+  fleet::FleetSpec same = ck_spec(traces, stepped_path);
   same.resume = true;
   obs::MemoryTraceSink sink;
   obs::MetricsRegistry registry;
   same.trace = &sink;
   same.metrics = &registry;
   EXPECT_NO_THROW((void)fleet::run_fleet(same));
-  std::remove(v3_path.c_str());
-  std::remove(v4_path.c_str());
+  std::remove(stepped_path.c_str());
+  std::remove(event_path.c_str());
 }
 
 TEST(Checkpoint, EventCheckpointMutationMatrixRejected) {
@@ -685,56 +739,287 @@ TEST(Checkpoint, EventCheckpointMutationMatrixRejected) {
   const std::string good = read_file(path);
   ASSERT_GT(good.size(), 200u);
 
-  // Strip the "end <8hex>\n" trailer so mutations re-seal with a VALID
-  // checksum: these rejections must come from the parser, not the CRC.
-  const std::size_t trailer = good.rfind("end ");
+  // Mutate the first segment alone and re-seal it with a VALID checksum:
+  // these rejections must come from the parser, not the CRC.
+  const std::size_t trailer = good.find("\nend ");
   ASSERT_NE(trailer, std::string::npos);
-  const std::string body = good.substr(0, trailer);
+  const std::string body = good.substr(0, trailer + 1);
+  const std::size_t eol = body.find('\n');
+  const std::string header = body.substr(0, eol);
+  const std::string rest = body.substr(eol);
 
-  const auto expect_rejected = [&](const std::string& mutated,
+  const auto expect_rejected = [&](const std::string& mutated_header,
                                    const char* what) {
-    write_file(path, with_trailer(mutated));
-    EXPECT_THROW((void)fleet::FleetCheckpoint::load(path),
-                 fleet::CheckpointError)
-        << what;
+    write_file(path, with_trailer(mutated_header + rest));
+    const std::string msg = load_error(path);
+    EXPECT_NE(msg.find("segment 1"), std::string::npos) << what << ": " << msg;
+  };
+  const auto replace_token = [&](const std::string& from,
+                                 const std::string& to) {
+    std::string m = header;
+    const std::size_t at = m.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return at == std::string::npos ? m : m.replace(at, from.size(), to);
   };
 
-  {
-    // Version says 3 but the engine line is still present: a v3 parser
-    // reads "engine ..." where "titles ..." must be.
-    std::string m = body;
-    m.replace(0, std::string("VBRFLEETCKPT 4").size(), "VBRFLEETCKPT 3");
-    expect_rejected(m, "v3 header with an engine line");
+  expect_rejected(replace_token(" engine event ", " engine warp "),
+                  "unknown engine name");
+  expect_rejected(replace_token(" engine event ", " event "),
+                  "engine field cut out");
+  expect_rejected(replace_token(" events ", " events not-a-number "),
+                  "malformed events_done");
+  expect_rejected(replace_token(" seg 1 ", " seg 2 "),
+                  "segment number out of order");
+  expect_rejected(header + " 7", "trailing header token");
+
+  // The version gate's error names the version this build reads.
+  write_file(path, with_trailer("VBRFLEETCKPT 99\nmeta 0 0 0 0 0\n"));
+  EXPECT_NE(load_error(path).find("expected 5"), std::string::npos)
+      << load_error(path);
+  std::remove(path.c_str());
+}
+
+// -----------------------------------------------------------------------
+// The append-only journal: a torn or checksum-failing final segment is the
+// crash signature and is dropped; a resumed run truncates it away before
+// appending; interior damage and the pre-journal formats are named errors;
+// every session is written exactly once.
+// -----------------------------------------------------------------------
+
+/// A 3-segment stepper journal (periodic segments at 8 and 16 sessions,
+/// the kill's at 17), written at one thread.
+std::string three_segment_journal(const std::vector<net::Trace>& traces,
+                                  const std::string& path) {
+  std::remove(path.c_str());
+  run_until_killed(ck_spec(traces, path), 1, 17);
+  return read_file(path);
+}
+
+TEST(Checkpoint, TornFinalSegmentIsDroppedAndResumesToGolden) {
+  const std::vector<net::Trace> traces = two_traces();
+  const std::string golden = run_and_serialize(ck_spec(traces, ""), 1);
+  const std::string path = testing::TempDir() + "ck_torn.ckpt";
+  const std::string full = three_segment_journal(traces, path);
+  const std::vector<std::size_t> starts = segment_starts(full);
+  ASSERT_EQ(starts.size(), 3u);
+  const std::size_t third = starts[2];
+  const std::size_t header_len = full.find('\n', third) + 1 - third;
+  const std::string kept = full.substr(0, third);
+
+  // Cuts inside the final segment: every byte of its header line, then a
+  // stride through the rest, up to one byte short of the whole file.
+  std::vector<std::size_t> cuts;
+  for (std::size_t off = 0; off <= header_len; ++off) {
+    cuts.push_back(third + off);
   }
-  {
-    // Version says 4 but the engine line was cut out.
-    std::string m = body;
-    const std::size_t at = m.find("\nengine ");
-    ASSERT_NE(at, std::string::npos);
-    const std::size_t eol = m.find('\n', at + 1);
-    m.erase(at, eol - at);
-    expect_rejected(m, "v4 header without an engine line");
+  const std::size_t stride =
+      std::max<std::size_t>(1, (full.size() - third) / 16);
+  for (std::size_t at = third + header_len + 1; at < full.size();
+       at += stride) {
+    cuts.push_back(at);
   }
-  {
-    // Garbage event count.
-    std::string m = body;
-    const std::size_t at = m.find("\nengine ");
-    ASSERT_NE(at, std::string::npos);
-    const std::size_t eol = m.find('\n', at + 1);
-    m.replace(at, eol - at, "\nengine not-a-number");
-    expect_rejected(m, "malformed engine line");
+  cuts.push_back(full.size() - 1);
+
+  const std::string copy = path + ".copy";
+  for (std::size_t i = 0; i < cuts.size(); ++i) {
+    write_file(path, full.substr(0, cuts[i]));
+    const fleet::FleetCheckpoint ck = fleet::FleetCheckpoint::load(path);
+    ASSERT_EQ(ck.segments.size(), 2u) << "cut at " << cuts[i];
+    EXPECT_EQ(ck.good_bytes, third) << "cut at " << cuts[i];
+    ck.save(copy);
+    EXPECT_EQ(read_file(copy), kept) << "cut at " << cuts[i];
+    // Resuming is the expensive half: every few cuts, at 1 and 2 threads.
+    // A resume appends to the file, so each one starts from the cut again.
+    if (i % 6 == 0) {
+      for (const unsigned threads : {1u, 2u}) {
+        write_file(path, full.substr(0, cuts[i]));
+        fleet::FleetSpec resume = ck_spec(traces, path);
+        resume.resume = true;
+        EXPECT_EQ(run_and_serialize(resume, threads), golden)
+            << "cut at " << cuts[i] << " threads=" << threads;
+      }
+    }
   }
 
-  // The version gate's error names the accepted range.
-  write_file(path, with_trailer("VBRFLEETCKPT 99\nmeta 0 0 0 0 0\n"));
-  try {
-    (void)fleet::FleetCheckpoint::load(path);
-    FAIL() << "expected CheckpointError";
-  } catch (const fleet::CheckpointError& e) {
-    EXPECT_NE(std::string(e.what()).find("expected 3 or 4"),
-              std::string::npos)
-        << e.what();
+  // A complete final segment whose checksum fails is dropped the same way.
+  std::string flipped = full;
+  flipped[third + (full.size() - third) / 2] ^= 0x01;
+  write_file(path, flipped);
+  EXPECT_EQ(fleet::FleetCheckpoint::load(path).segments.size(), 2u);
+  for (const unsigned threads : {1u, 2u}) {
+    write_file(path, flipped);
+    fleet::FleetSpec resume = ck_spec(traces, path);
+    resume.resume = true;
+    EXPECT_EQ(run_and_serialize(resume, threads), golden)
+        << "threads=" << threads;
   }
+  std::remove(path.c_str());
+  std::remove(copy.c_str());
+}
+
+TEST(Checkpoint, ResumeTruncatesTornTailBeforeAppending) {
+  // kill -> tear the tail -> resume and kill again: had the resumed run
+  // appended behind the torn bytes, they would now be an interior segment
+  // and the journal would be unreadable.
+  const std::vector<net::Trace> traces = two_traces();
+  const std::string golden = run_and_serialize(ck_spec(traces, ""), 2);
+  const std::string path = testing::TempDir() + "ck_torn_append.ckpt";
+  const std::string full = three_segment_journal(traces, path);
+  const std::vector<std::size_t> starts = segment_starts(full);
+  ASSERT_EQ(starts.size(), 3u);
+  write_file(path, full.substr(0, starts[2] + (full.size() - starts[2]) / 2));
+
+  fleet::FleetSpec mid = ck_spec(traces, path);
+  mid.resume = true;
+  run_until_killed(mid, 2, 29);
+  const std::string after = read_file(path);
+  EXPECT_EQ(after.substr(0, starts[2]), full.substr(0, starts[2]))
+      << "the good segments are kept as they were";
+  const fleet::FleetCheckpoint ck = fleet::FleetCheckpoint::load(path);
+  EXPECT_EQ(ck.good_bytes, after.size()) << "no torn bytes left behind";
+  ASSERT_GE(ck.segments.size(), 3u);
+  EXPECT_GE(ck.segments.back().sessions_done, 29u);
+  EXPECT_EQ(journaled_sessions(ck), ck.segments.back().sessions_done);
+
+  fleet::FleetSpec fin = ck_spec(traces, path);
+  fin.resume = true;
+  EXPECT_EQ(run_and_serialize(fin, 2), golden);
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, InteriorSegmentDamageNamesTheSegment) {
+  const std::vector<net::Trace> traces = two_traces();
+  const std::string path = testing::TempDir() + "ck_interior.ckpt";
+  const std::string full = three_segment_journal(traces, path);
+  const std::vector<std::size_t> starts = segment_starts(full);
+  ASSERT_EQ(starts.size(), 3u);
+  for (const std::size_t seg : {std::size_t{0}, std::size_t{1}}) {
+    std::string flipped = full;
+    flipped[(starts[seg] + starts[seg + 1]) / 2] ^= 0x01;
+    write_file(path, flipped);
+    const std::string msg = load_error(path);
+    EXPECT_NE(msg.find("segment " + std::to_string(seg + 1)),
+              std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("interior"), std::string::npos) << msg;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, InconsistentSegmentSequencesRejected) {
+  // Segments that each pass their checksum but contradict one another
+  // (re-sealed through save()) are named errors, not silent merges.
+  const std::vector<net::Trace> traces = two_traces();
+  const std::string path = testing::TempDir() + "ck_sequence.ckpt";
+  (void)three_segment_journal(traces, path);
+  const fleet::FleetCheckpoint good = fleet::FleetCheckpoint::load(path);
+  ASSERT_EQ(good.segments.size(), 3u);
+  ASSERT_FALSE(good.segments[0].sessions.empty());
+
+  const auto expect_rejected = [&](fleet::FleetCheckpoint ck,
+                                   const std::string& needle) {
+    ck.save(path);
+    const std::string msg = load_error(path);
+    EXPECT_NE(msg.find("segment 2"), std::string::npos) << msg;
+    EXPECT_NE(msg.find(needle), std::string::npos) << msg;
+  };
+  {
+    fleet::FleetCheckpoint ck = good;
+    ck.segments[1].sessions.push_back(ck.segments[0].sessions.front());
+    ++ck.segments[1].sessions_done;
+    ++ck.segments[2].sessions_done;
+    expect_rejected(ck, "journaled twice");
+  }
+  {
+    fleet::FleetCheckpoint ck = good;
+    ++ck.segments[1].sessions_done;
+    expect_rejected(ck, "sessions_done");
+  }
+  {
+    fleet::FleetCheckpoint ck = good;
+    ck.segments[1].engine = fleet::FleetEngine::kEvent;
+    expect_rejected(ck, "disagrees with segment 1");
+  }
+  {
+    fleet::FleetCheckpoint ck = good;
+    ++ck.segments[1].spec_fingerprint;
+    expect_rejected(ck, "disagrees with segment 1");
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, WholeFileVersionsRejectedByName) {
+  // VBRFLEETCKPT 3 (stepper) and 4 (event engine) were whole-file
+  // snapshots; a journal build must name the version, not misparse it.
+  const std::string path = testing::TempDir() + "ck_old_version.ckpt";
+  write_file(path, with_trailer("VBRFLEETCKPT 3\nmeta 1 2 3 4 0 5\n"
+                                "titles 0\nsessions 0\n"));
+  std::string msg = load_error(path);
+  EXPECT_NE(msg.find("unsupported version 3"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("VBRFLEETCKPT 3"), std::string::npos) << msg;
+  write_file(path, with_trailer("VBRFLEETCKPT 4\nmeta 1 2 3 4 0 5\n"
+                                "engine 64\ntitles 0\nsessions 0\n"));
+  msg = load_error(path);
+  EXPECT_NE(msg.find("unsupported version 4"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("VBRFLEETCKPT 4"), std::string::npos) << msg;
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, JournalWritesEachSessionExactlyOnce) {
+  // Checkpoint work is linear in the run: a journal cut every 8 sessions
+  // is only its extra segment heads larger than one written once at the
+  // end, and each session lives in exactly one segment. (Rewriting every
+  // completed session per snapshot, as a whole-file format must, makes
+  // the every-8 file about k/2 times the size.)
+  const std::vector<net::Trace> traces = two_traces();
+  const std::uint64_t n =
+      fleet::generate_arrivals(ck_spec(traces, "").arrivals).size();
+  ASSERT_GT(n, 24u);
+
+  const auto journal_of = [&](std::uint64_t every, const char* name) {
+    const std::string path = testing::TempDir() + name;
+    std::remove(path.c_str());
+    fleet::FleetSpec spec = ck_spec(traces, path);
+    spec.checkpoint_every = every;
+    run_until_killed(spec, 1, n);  // the kill's segment holds the last one
+    const std::string bytes = read_file(path);
+    std::remove(path.c_str());
+    return bytes;
+  };
+  const std::string once = journal_of(0, "ck_linear_once.ckpt");
+  const std::string every8 = journal_of(8, "ck_linear_every8.ckpt");
+
+  const std::string path = testing::TempDir() + "ck_linear.ckpt";
+  write_file(path, once);
+  const fleet::FleetCheckpoint once_ck = fleet::FleetCheckpoint::load(path);
+  ASSERT_EQ(once_ck.segments.size(), 1u);
+  EXPECT_EQ(once_ck.segments[0].sessions.size(), n);
+
+  write_file(path, every8);
+  const fleet::FleetCheckpoint ck = fleet::FleetCheckpoint::load(path);
+  const std::size_t k = ck.segments.size();
+  ASSERT_EQ(k, (n - 1) / 8 + 1);
+  std::vector<int> seen(n, 0);
+  for (const fleet::FleetCheckpoint::Segment& seg : ck.segments) {
+    for (const fleet::FleetCheckpoint::SessionState& ss : seg.sessions) {
+      ++seen[ss.record.session_id];
+    }
+  }
+  for (std::uint64_t sid = 0; sid < n; ++sid) {
+    EXPECT_EQ(seen[sid], 1) << "session " << sid;
+  }
+
+  // Per-segment head bound: the header line, six titles' shared state
+  // (with shard contents for the one in progress) and the trailer.
+  constexpr std::size_t kSegmentHeadBound = 8192;
+  for (std::size_t i = 0; i < k; ++i) {
+    fleet::FleetCheckpoint head;
+    head.segments.push_back(ck.segments[i]);
+    head.segments.back().sessions.clear();
+    head.save(path);
+    EXPECT_LE(read_file(path).size(), kSegmentHeadBound) << "segment " << i;
+  }
+  EXPECT_LE(every8.size(), once.size() + (k - 1) * kSegmentHeadBound);
   std::remove(path.c_str());
 }
 

@@ -100,8 +100,8 @@
 // immutable, across all worker threads, so fleet output stays
 // byte-identical at any --fleet-threads value.
 //
-// Crash safety (fleet mode; DESIGN.md section 11): --checkpoint FILE,
-// --checkpoint-every N, --resume (resume from FILE when it exists),
+// Crash safety (fleet mode; DESIGN.md section 11): --checkpoint FILE (an
+// append-only journal, one segment per checkpoint), --checkpoint-every N, --resume (resume from FILE when it exists),
 // --fleet-kill-after N (cooperative chaos kill: final checkpoint + exit
 // code 3), --fleet-throttle-us N (stretch wall time so an external SIGKILL
 // can land), --fleet-watchdog-decisions / --fleet-watchdog-sim-s
@@ -113,8 +113,8 @@
 // picks how run_fleet executes sessions. "stepped" (default) runs each
 // session to completion on a worker; "event" schedules every session's
 // next chunk decision on one shared-virtual-time timeline — 100k+
-// sessions in flight, byte-identical output, v4 checkpoints whose
-// --checkpoint-every counts EVENTS instead of sessions. --fleet-stream-agg
+// sessions in flight, byte-identical output, checkpoint journal segments
+// whose --checkpoint-every counts EVENTS instead of sessions. --fleet-stream-agg
 // (event engine only, no checkpointing) folds each completed session into
 // the aggregates immediately and drops the per-session record, keeping
 // memory constant in fleet size.
