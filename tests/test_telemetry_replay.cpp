@@ -9,6 +9,7 @@
 #include <cmath>
 #include <vector>
 
+#include "abr/bola.h"
 #include "core/cava.h"
 #include "metrics/qoe.h"
 #include "net/bandwidth_estimator.h"
@@ -119,6 +120,11 @@ void check_stream_against_result(const std::deque<obs::DecisionEvent>& events,
 
   // Per-event fields mirror the chunk records.
   for (std::size_t k = 0; k < events.size(); ++k) {
+    // Every idle between the decision and the first byte is recorded: the
+    // download starts exactly `wait_s` after the decision.
+    EXPECT_NEAR(result.chunks[k].download_start_s,
+                events[k].decision_now_s + events[k].wait_s, kTol)
+        << "chunk " << k;
     EXPECT_EQ(events[k].chunk_index, result.chunks[k].index);
     EXPECT_EQ(events[k].track, result.chunks[k].track);
     EXPECT_DOUBLE_EQ(events[k].download_s, result.chunks[k].download_s);
@@ -269,6 +275,32 @@ TEST(TelemetryReplay, LiveSessionStreamHoldsInvariants) {
   cfg.metrics = &reg;
   const sim::LiveSessionResult r =
       sim::run_live_session(v, t, *cava, est, cfg);
+  check_stream_invariants(sink.events(), cfg.max_buffer_s);
+  check_stream_against_result(sink.events(), r.session, v.num_chunks());
+  check_metrics_against_stream(reg, sink.events());
+}
+
+TEST(TelemetryReplay, LiveSchemeIdleIsRecorded) {
+  // BOLA-E pauses above its buffer target. Joined far behind the live edge,
+  // the player holds enough buffer for those pauses to happen, and each
+  // one must show up as the chunk's wait.
+  const video::Video v =
+      video::make_video("live-bola", video::Genre::kAnimation,
+                        video::Codec::kH264, 2.0, 2.0, 42, 200.0);
+  const net::Trace t = net::generate_lte_trace(5);
+  abr::Bola bola;
+  net::HarmonicMeanEstimator est(5);
+  obs::MemoryTraceSink sink;
+  obs::MetricsRegistry reg;
+  sim::LiveSessionConfig cfg;
+  cfg.join_latency_s = 100.0;
+  cfg.trace = &sink;
+  cfg.metrics = &reg;
+  const sim::LiveSessionResult r = sim::run_live_session(v, t, bola, est, cfg);
+  const auto idles = std::count_if(
+      sink.events().begin(), sink.events().end(),
+      [](const obs::DecisionEvent& ev) { return ev.wait_s > 0.0; });
+  EXPECT_GT(idles, 0);
   check_stream_invariants(sink.events(), cfg.max_buffer_s);
   check_stream_against_result(sink.events(), r.session, v.num_chunks());
   check_metrics_against_stream(reg, sink.events());
