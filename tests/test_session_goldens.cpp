@@ -1,0 +1,341 @@
+// Golden pins for the live and multi-client session drivers.
+//
+// Each case runs one driver configuration and folds everything it produced
+// into one FNV-1a-64 digest: the canonical JSONL telemetry stream, every
+// SessionResult / LiveSessionResult scalar and chunk-record field (shortest
+// round-trip doubles), and the metrics registry's deterministic
+// fingerprint. A change to either driver's stepping, waiting, retry or
+// bookkeeping arithmetic moves at least one digest. On a mismatch the test
+// prints the digest it got, so an intended behaviour change re-pins by
+// copying those values after reviewing why they moved.
+#include <gtest/gtest.h>
+
+#include <charconv>
+#include <cstdint>
+#include <cstdio>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "abr/bola.h"
+#include "abr/mpc.h"
+#include "core/cava.h"
+#include "net/bandwidth_estimator.h"
+#include "net/trace_gen.h"
+#include "obs/metrics.h"
+#include "obs/trace_sink.h"
+#include "sim/live_session.h"
+#include "sim/multi_client.h"
+#include "video/dataset.h"
+
+namespace {
+
+using namespace vbr;
+
+std::uint64_t fnv1a64(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::string hex(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+/// Canonical byte form of the values a driver produced.
+class Canon {
+ public:
+  void num(double x) {
+    char buf[32];
+    const auto res = std::to_chars(buf, buf + sizeof buf, x);
+    out_.append(buf, res.ptr);
+    out_ += ',';
+  }
+  void num(std::size_t x) { num(static_cast<double>(x)); }
+  void flag(bool b) { out_ += b ? "1," : "0,"; }
+  void line(const std::string& s) {
+    out_ += s;
+    out_ += '\n';
+  }
+
+  void session(const sim::SessionResult& r) {
+    num(r.startup_delay_s);
+    num(r.total_rebuffer_s);
+    num(r.total_bits);
+    num(r.end_time_s);
+    flag(r.watchdog_aborted);
+    for (const sim::ChunkRecord& c : r.chunks) {
+      num(c.index);
+      num(c.track);
+      num(c.size_bits);
+      num(c.download_start_s);
+      num(c.download_s);
+      num(c.wait_s);
+      num(c.stall_s);
+      num(c.buffer_after_s);
+      num(c.quality.psnr_db);
+      num(c.quality.ssim);
+      num(c.quality.vmaf_tv);
+      num(c.quality.vmaf_phone);
+      flag(c.abandoned_higher);
+      num(c.wasted_bits);
+      num(c.attempts);
+      num(c.connect_failures);
+      num(c.mid_drops);
+      num(c.timeouts);
+      num(c.backoff_wait_s);
+      num(c.resumed_bits);
+      flag(c.downgraded);
+      flag(c.skipped);
+      line("");
+    }
+  }
+
+  void telemetry(const obs::MemoryTraceSink& sink,
+                 const obs::MetricsRegistry& reg) {
+    for (const obs::DecisionEvent& ev : sink.events()) {
+      line(obs::to_jsonl(ev));
+    }
+    line(reg.deterministic_fingerprint());
+  }
+
+  [[nodiscard]] std::string digest() const { return hex(fnv1a64(out_)); }
+
+ private:
+  std::string out_;
+};
+
+std::unique_ptr<abr::AbrScheme> make_scheme(const std::string& name) {
+  if (name == "CAVA") {
+    return core::make_cava_p123();
+  }
+  if (name == "BOLA-E") {
+    return std::make_unique<abr::Bola>();
+  }
+  abr::MpcConfig mpc;
+  mpc.robust = true;
+  return std::make_unique<abr::Mpc>(mpc);
+}
+
+/// Faults of every kind, frequent enough that retries, byte-range resume
+/// and downgrades all fire within one session.
+net::FaultConfig hostile_faults(std::uint64_t seed) {
+  net::FaultConfig f;
+  f.connect_failure_prob = 0.08;
+  f.mid_drop_prob = 0.12;
+  f.timeout_prob = 0.05;
+  f.seed = seed;
+  return f;
+}
+
+// ------------------------------------------------------------------ live --
+
+/// A synthetic LTE trace with its rate scaled: fast enough that buffers
+/// reach their caps and the gates bind, still bursty enough to stall.
+net::Trace scaled_lte_trace(std::uint64_t seed, double scale) {
+  std::vector<double> samples = net::generate_lte_trace(seed).samples_bps();
+  for (double& s : samples) {
+    s *= scale;
+  }
+  return net::Trace("lte-scaled", 1.0, std::move(samples));
+}
+
+struct LiveCase {
+  const char* scheme;
+  double join_latency_s;
+  double max_buffer_s;
+  bool faults;
+  const char* pin;
+};
+
+std::string live_name(const LiveCase& c) {
+  return std::string(c.scheme) + " join " +
+         std::to_string(static_cast<int>(c.join_latency_s)) + " buffer " +
+         std::to_string(static_cast<int>(c.max_buffer_s)) +
+         (c.faults ? " faults" : " clean");
+}
+
+// 100 two-second chunks over an LTE trace at six times its rate. At join
+// 30 s the player idles at the live edge; at join 100 s it fills toward the
+// 100 s cap and the pre-decision room gate binds, and with a 30 s cap that
+// gate binds on most chunks. The fault cases also stall.
+const LiveCase kLiveCases[] = {
+    {"CAVA", 30.0, 100.0, false, "7cc8d4bfcbb80f25"},
+    {"CAVA", 30.0, 100.0, true, "8eec8b990a475dc8"},
+    {"CAVA", 100.0, 100.0, false, "4d54c09b85af6c0a"},
+    {"CAVA", 100.0, 100.0, true, "541814545d0244f8"},
+    {"CAVA", 100.0, 30.0, false, "c2b2e204a1d5fdd1"},
+    {"CAVA", 100.0, 30.0, true, "75c0b60b325c8059"},
+    {"BOLA-E", 30.0, 100.0, false, "e39f1ff7752bd341"},
+    {"BOLA-E", 30.0, 100.0, true, "6193908f3be62f4b"},
+    {"BOLA-E", 100.0, 100.0, false, "33bda8fb85c27094"},
+    {"BOLA-E", 100.0, 100.0, true, "5a50c0dd3dd7aa84"},
+    {"BOLA-E", 100.0, 30.0, false, "c07e88203053ef8f"},
+    {"BOLA-E", 100.0, 30.0, true, "27f067d9e8ddfd77"},
+    {"RobustMPC", 30.0, 100.0, false, "60e75f1da0dca458"},
+    {"RobustMPC", 30.0, 100.0, true, "9805cc9152f39d78"},
+    {"RobustMPC", 100.0, 100.0, false, "ec58b7ff381ef2ce"},
+    {"RobustMPC", 100.0, 100.0, true, "a280faae0c24c816"},
+    {"RobustMPC", 100.0, 30.0, false, "1fc76ab90f39e40d"},
+    {"RobustMPC", 100.0, 30.0, true, "e0fdf073b388901d"},
+};
+
+std::string run_live_case(const LiveCase& c, metrics::FaultSummary* faults) {
+  const video::Video v =
+      video::make_video("live-golden", video::Genre::kSports,
+                        video::Codec::kH264, 2.0, 2.0, 11, 200.0);
+  const net::Trace t = scaled_lte_trace(5, 6.0);
+  auto scheme = make_scheme(c.scheme);
+  net::HarmonicMeanEstimator est(5);
+  obs::MemoryTraceSink sink;
+  obs::MetricsRegistry reg;
+  sim::LiveSessionConfig cfg;
+  cfg.join_latency_s = c.join_latency_s;
+  cfg.max_buffer_s = c.max_buffer_s;
+  if (c.faults) {
+    cfg.fault = hostile_faults(23);
+    cfg.retry.resume_partial = true;
+    cfg.retry.downgrade_on_failure = true;
+  }
+  cfg.trace = &sink;
+  cfg.metrics = &reg;
+  cfg.session_id = 7;
+  const sim::LiveSessionResult r =
+      sim::run_live_session(v, t, *scheme, est, cfg);
+  *faults = r.session.fault_summary();
+
+  Canon canon;
+  canon.telemetry(sink, reg);
+  canon.session(r.session);
+  canon.num(r.mean_latency_s);
+  canon.num(r.max_latency_s);
+  canon.num(r.edge_wait_s);
+  return canon.digest();
+}
+
+TEST(SessionGolden, LiveDriverMatchesPins) {
+  std::size_t downgraded = 0;
+  double resumed_mb = 0.0;
+  for (const LiveCase& c : kLiveCases) {
+    metrics::FaultSummary fs;
+    EXPECT_EQ(run_live_case(c, &fs), c.pin) << live_name(c);
+    downgraded += fs.downgraded;
+    resumed_mb += fs.resumed_mb;
+  }
+  // The fault cases exercise the paths their name promises.
+  EXPECT_GT(downgraded, 0u);
+  EXPECT_GT(resumed_mb, 0.0);
+}
+
+// ---------------------------------------------------------- multi-client --
+
+enum class Mix { kTwoCava, kCavaBolaStaggered, kThreeWatchDurations };
+
+struct MultiCase {
+  Mix mix;
+  double rtt_s;
+  bool faults;
+  const char* pin;
+};
+
+std::string multi_name(const MultiCase& c) {
+  const char* mix = c.mix == Mix::kTwoCava             ? "2xCAVA"
+                    : c.mix == Mix::kCavaBolaStaggered ? "CAVA+BOLA-E@5s"
+                                                       : "3 watch durations";
+  return std::string(mix) + " rtt " + std::to_string(c.rtt_s) +
+         (c.faults ? " faults" : " clean");
+}
+
+// 120 two-second chunks per client over an LTE trace at three times its
+// rate, with a 40 s player cap: room waits, BOLA-E pauses, stalls, skips and
+// downgrades all occur across the cases.
+const MultiCase kMultiCases[] = {
+    {Mix::kTwoCava, 0.0, false, "ec6dd75f8b060ebb"},
+    {Mix::kTwoCava, 0.0, true, "c5c0b5e27107a745"},
+    {Mix::kTwoCava, 0.05, false, "0b0c76afa97f5a57"},
+    {Mix::kTwoCava, 0.05, true, "994b741c91094f14"},
+    {Mix::kCavaBolaStaggered, 0.0, false, "10f095afacbefdb3"},
+    {Mix::kCavaBolaStaggered, 0.0, true, "2c8172b1ba0a9608"},
+    {Mix::kCavaBolaStaggered, 0.05, false, "704d16a5848b677d"},
+    {Mix::kCavaBolaStaggered, 0.05, true, "434e20ba3db8fefa"},
+    {Mix::kThreeWatchDurations, 0.0, false, "941db19268b70933"},
+    {Mix::kThreeWatchDurations, 0.0, true, "6b766061045ef34f"},
+    {Mix::kThreeWatchDurations, 0.05, false, "84d62d931915f1e7"},
+    {Mix::kThreeWatchDurations, 0.05, true, "57fc3435beeeecc5"},
+};
+
+sim::ClientSpec client(const video::Video& v, const std::string& scheme,
+                       double offset_s = 0.0, double watch_s = 0.0) {
+  sim::ClientSpec spec;
+  spec.video = &v;
+  spec.scheme = make_scheme(scheme);
+  spec.estimator = std::make_unique<net::HarmonicMeanEstimator>(5);
+  spec.start_offset_s = offset_s;
+  spec.watch_duration_s = watch_s;
+  return spec;
+}
+
+std::string run_multi_case(const MultiCase& c,
+                           metrics::FaultSummary* faults) {
+  const video::Video v =
+      video::make_video("multi-golden", video::Genre::kAnimation,
+                        video::Codec::kH264, 2.0, 2.0, 42, 240.0);
+  const net::Trace t = scaled_lte_trace(9, 3.0);
+  std::vector<sim::ClientSpec> clients;
+  switch (c.mix) {
+    case Mix::kTwoCava:
+      clients.push_back(client(v, "CAVA"));
+      clients.push_back(client(v, "CAVA"));
+      break;
+    case Mix::kCavaBolaStaggered:
+      clients.push_back(client(v, "CAVA"));
+      clients.push_back(client(v, "BOLA-E", 5.0));
+      break;
+    case Mix::kThreeWatchDurations:
+      clients.push_back(client(v, "CAVA"));
+      clients.push_back(client(v, "BOLA-E", 0.0, 40.0));
+      clients.push_back(client(v, "RobustMPC", 2.0, 90.0));
+      break;
+  }
+  obs::MemoryTraceSink sink;
+  obs::MetricsRegistry reg;
+  sim::SessionConfig cfg;
+  cfg.request_rtt_s = c.rtt_s;
+  cfg.max_buffer_s = 40.0;
+  if (c.faults) {
+    cfg.fault = hostile_faults(31);
+    cfg.retry.resume_partial = true;
+  }
+  cfg.trace = &sink;
+  cfg.metrics = &reg;
+  cfg.session_id = 40;
+  const sim::MultiClientResult r =
+      sim::run_multi_client(t, std::move(clients), cfg);
+
+  Canon canon;
+  canon.telemetry(sink, reg);
+  for (const sim::SessionResult& s : r.sessions) {
+    canon.session(s);
+    const metrics::FaultSummary fs = s.fault_summary();
+    faults->downgraded += fs.downgraded;
+    faults->resumed_mb += fs.resumed_mb;
+  }
+  return canon.digest();
+}
+
+TEST(SessionGolden, MultiClientDriverMatchesPins) {
+  metrics::FaultSummary fs;
+  for (const MultiCase& c : kMultiCases) {
+    EXPECT_EQ(run_multi_case(c, &fs), c.pin) << multi_name(c);
+  }
+  EXPECT_GT(fs.downgraded, 0u);
+  EXPECT_GT(fs.resumed_mb, 0.0);
+}
+
+}  // namespace
