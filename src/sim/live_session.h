@@ -13,7 +13,9 @@
 //     player `join_latency_s` behind the live edge can never hold more than
 //     that much content.
 //
-// The result adds latency accounting on top of the usual session metrics.
+// The session itself is a SessionStepper (sim/stepper.h) bound to the
+// release schedule; this wrapper adds its own validation and the latency
+// accounting on top of the usual session metrics.
 #pragma once
 
 #include "sim/session.h"

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
+#include <optional>
 #include <stdexcept>
 
 #include "metrics/stats.h"
-#include "sim/buffer.h"
-#include "sim/telemetry.h"
+#include "sim/stepper.h"
 
 namespace vbr::sim {
 
@@ -55,22 +54,27 @@ enum class Phase {
   kDone,
 };
 
+/// One client: its session core plus the fluid fair-share transfer state
+/// the shared link needs. The session's buffer, record and telemetry live
+/// in the stepper; this loop owns the clock.
 struct ClientState {
-  ClientSpec spec;
-  PlayoutBuffer buffer;
-  SessionResult result;
-  net::FaultModel fault;         ///< Per-client deterministic fault stream.
-  Phase phase = Phase::kIdle;
-  double phase_until = 0.0;      ///< kIdle/kLatency: wake-up time.
-  double remaining_bits = 0.0;   ///< kDownloading: bits this attempt delivers.
-  std::size_t next_chunk = 0;
-  int prev_track = -1;
-  bool room_checked = false;     ///< Room gate applied for the current chunk.
-  ChunkRecord rec;               ///< In-flight chunk bookkeeping.
-  abr::StreamContext last_ctx;   ///< Context used for the in-flight decide.
-  std::size_t total_chunks = 0;  ///< Watch-duration-truncated chunk bound.
+  ClientState(const ClientSpec& spec, const net::Trace& trace,
+              const SessionConfig& config, const SessionTimeline& timeline,
+              std::uint64_t stream)
+      : session(*spec.video, trace, *spec.scheme, *spec.estimator, config,
+                timeline),
+        fault(config.fault, stream),
+        phase(session.done() ? Phase::kDone : Phase::kIdle),
+        phase_until(timeline.start_s) {}
 
-  // Retry state for the in-flight chunk.
+  SessionStepper session;
+  net::FaultModel fault;         ///< Per-client deterministic fault stream.
+  Phase phase;
+  double phase_until;            ///< kIdle/kLatency: wake-up time.
+  double remaining_bits = 0.0;   ///< kDownloading: bits this attempt delivers.
+  bool decided = false;          ///< The open chunk has its decision.
+
+  // Retry state for the open chunk.
   bool fetch_started = false;    ///< First attempt of this chunk was issued.
   std::size_t failures = 0;      ///< Failed attempts so far.
   double need_bits = 0.0;        ///< Bits still required to land the chunk.
@@ -78,12 +82,6 @@ struct ClientState {
   double attempt_bits = 0.0;     ///< Bits the current attempt transfers.
   bool attempt_failing = false;  ///< Current transfer ends in a mid-drop.
   bool pending_failure = false;  ///< A no-byte failure's delay is elapsing.
-  detail::SessionTelemetry telemetry;  ///< Bound per client (single-threaded
-                                       ///< loop, so one shared sink is safe).
-
-  explicit ClientState(ClientSpec s, double max_buffer,
-                       const net::FaultConfig& fc, std::uint64_t stream)
-      : spec(std::move(s)), buffer(max_buffer), fault(fc, stream) {}
 };
 
 }  // namespace
@@ -123,87 +121,61 @@ MultiClientResult run_multi_client(const net::Trace& trace,
   std::vector<ClientState> state;
   state.reserve(clients.size());
   for (std::size_t ci = 0; ci < clients.size(); ++ci) {
-    ClientSpec& spec = clients[ci];
+    const ClientSpec& spec = clients[ci];
     if (spec.video == nullptr || !spec.scheme || !spec.estimator ||
         spec.start_offset_s < 0.0) {
       throw std::invalid_argument("run_multi_client: malformed client spec");
-    }
-    spec.scheme->reset();
-    spec.estimator->reset();
-    if (spec.size_provider) {
-      spec.size_provider->reset();
     }
     if (spec.watch_duration_s < 0.0) {
       throw std::invalid_argument(
           "run_multi_client: negative client watch duration");
     }
-    ClientState cs(std::move(spec), config.max_buffer_s, config.fault, ci);
-    cs.phase_until = cs.spec.start_offset_s;
-    const double watch_s = cs.spec.watch_duration_s > 0.0
-                               ? cs.spec.watch_duration_s
-                               : config.watch_duration_s;
-    cs.total_chunks = effective_chunk_count(*cs.spec.video, watch_s);
-    cs.telemetry.bind(config.trace, config.metrics, config.session_id + ci,
-                      *cs.spec.scheme, cs.spec.size_provider.get());
-    state.push_back(std::move(cs));
+    SessionConfig client = config;
+    if (spec.watch_duration_s > 0.0) {
+      client.watch_duration_s = spec.watch_duration_s;
+    }
+    client.size_provider = spec.size_provider.get();
+    client.session_id = config.session_id + ci;
+    SessionTimeline timeline;
+    timeline.driver = "run_multi_client";
+    timeline.start_s = spec.start_offset_s;
+    state.emplace_back(spec, trace, client, timeline, ci);
   }
 
   double t = 0.0;
 
-  // Finishes the current chunk as skipped: recorded, never delivered.
-  auto skip_chunk = [&](ClientState& c) {
-    c.rec.skipped = true;
-    c.rec.attempts = c.failures;
-    c.rec.download_s = 0.0;
-    c.rec.size_bits = 0.0;
-    c.rec.buffer_after_s = c.buffer.level_s();
-    if (!c.buffer.playing() &&
-        (c.buffer.level_s() >= config.startup_latency_s ||
-         c.rec.index + 1 == c.total_chunks)) {
-      c.buffer.start_playback();
-      c.result.startup_delay_s = t - c.spec.start_offset_s;
-    }
-    c.result.chunks.push_back(c.rec);
-    c.telemetry.on_chunk(c.rec, c.last_ctx, *c.spec.scheme,
-                         c.result.total_rebuffer_s, t);
-    ++c.next_chunk;
-    c.room_checked = false;
+  // Frees the client for its next chunk, or retires it.
+  auto close_chunk = [&](ClientState& c) {
+    c.decided = false;
     c.fetch_started = false;
     c.failures = 0;
-    if (c.next_chunk >= c.total_chunks) {
-      c.phase = Phase::kDone;
-      c.result.end_time_s = t;
-    } else {
-      c.phase = Phase::kIdle;
-      c.phase_until = t;  // immediately eligible
-    }
+    c.phase = c.session.done() ? Phase::kDone : Phase::kIdle;
+    c.phase_until = t;  // immediately eligible
+  };
+
+  // Finishes the open chunk as skipped: recorded, never delivered.
+  auto skip_chunk = [&](ClientState& c) {
+    c.session.pending_chunk().attempts = c.failures;
+    c.session.skip(t);
+    close_chunk(c);
   };
 
   // Books one failed attempt (bytes already accounted by the caller) and
   // schedules the next step: skip, downgrade, and/or backoff.
   auto handle_failure = [&](ClientState& c) {
-    const video::Video& v = *c.spec.video;
+    ChunkRecord& rec = c.session.pending_chunk();
     ++c.failures;
     if (c.failures >= config.retry.max_attempts) {
       skip_chunk(c);
       return;
     }
-    if (config.retry.downgrade_on_failure && c.rec.track > 0 &&
+    if (config.retry.downgrade_on_failure && rec.track > 0 &&
         c.failures >= config.retry.downgrade_after) {
-      c.rec.track = 0;
-      c.rec.downgraded = true;
-      c.rec.size_bits = v.chunk_size_bits(0, c.rec.index);
-      if (c.rec.resumed_bits > 0.0) {
-        // Partial higher-track bytes are useless to the new URL.
-        c.rec.wasted_bits += c.rec.resumed_bits;
-        c.result.total_bits += c.rec.resumed_bits;
-        c.rec.resumed_bits = 0.0;
-      }
-      c.need_bits = c.rec.size_bits;
+      c.need_bits = c.session.downgrade();
     }
-    const double backoff = backoff_delay_s(config.retry, c.fault,
-                                           c.rec.index, c.failures - 1);
-    c.rec.backoff_wait_s += backoff;
+    const double backoff =
+        backoff_delay_s(config.retry, c.fault, rec.index, c.failures - 1);
+    rec.backoff_wait_s += backoff;
     c.phase = Phase::kIdle;
     c.phase_until = t + backoff;
   };
@@ -212,11 +184,10 @@ MultiClientResult run_multi_client(const net::Trace& trace,
   auto fail_transfer = [&](ClientState& c) {
     c.attempt_failing = false;
     if (config.retry.resume_partial) {
-      c.rec.resumed_bits += c.attempt_bits;
+      c.session.pending_chunk().resumed_bits += c.attempt_bits;
       c.need_bits = std::max(c.need_bits - c.attempt_bits, 1.0);
     } else {
-      c.rec.wasted_bits += c.attempt_bits;
-      c.result.total_bits += c.attempt_bits;
+      c.session.waste(c.attempt_bits);
     }
     handle_failure(c);
   };
@@ -225,12 +196,7 @@ MultiClientResult run_multi_client(const net::Trace& trace,
   // decide -> (scheme wait) -> (buffer-room wait) -> request in flight,
   // consulting the fault model per attempt.
   auto activate = [&](ClientState& c) {
-    const video::Video& v = *c.spec.video;
-    if (c.next_chunk >= c.total_chunks) {
-      c.phase = Phase::kDone;
-      c.result.end_time_s = t;
-      return;
-    }
+    SessionStepper& session = c.session;
     if (c.pending_failure) {
       // A connect-failure or timeout just finished burning its wall-clock
       // time; book it and let handle_failure schedule what follows.
@@ -238,85 +204,57 @@ MultiClientResult run_multi_client(const net::Trace& trace,
       handle_failure(c);
       return;
     }
-    if (!c.room_checked) {
+    if (!c.decided) {
       // Fresh chunk: take the scheme's decision first.
-      abr::StreamContext ctx;
-      ctx.video = &v;
-      ctx.next_chunk = c.next_chunk;
-      ctx.buffer_s = c.buffer.level_s();
-      ctx.est_bandwidth_bps = c.spec.estimator->estimate_bps(t);
-      ctx.prev_track = c.prev_track;
-      ctx.now_s = t;
-      ctx.max_buffer_s = config.max_buffer_s;
-      ctx.startup_latency_s = config.startup_latency_s;
-      ctx.in_startup = !c.buffer.playing();
-      ctx.sizes = c.spec.size_provider.get();
-      const abr::Decision d =
-          detail::timed_decide(c.telemetry, *c.spec.scheme, ctx);
-      if (d.track >= v.num_tracks()) {
-        throw std::logic_error("run_multi_client: invalid track");
+      const std::optional<abr::Decision> d = session.request(t);
+      if (!d) {
+        c.phase = Phase::kDone;  // watchdog: leaves the fair share
+        return;
       }
-      c.last_ctx = ctx;
-      c.rec = ChunkRecord{};
-      c.rec.index = c.next_chunk;
-      c.rec.track = d.track;
-      c.room_checked = true;
-      const double room_wait =
-          c.buffer.time_until_room_for(v.chunk_duration_s());
-      const double wait = std::max(d.wait_s, 0.0) + room_wait;
+      c.decided = true;
+      const double wait = d->wait_s + session.room_wait_s();
       // Sub-epsilon waits are float residue; treating them as real waits
       // would spin the activation loop without advancing time.
       if (wait > kEps) {
-        c.rec.wait_s = wait;
+        session.pending_chunk().wait_s = wait;
         c.phase = Phase::kIdle;
         c.phase_until = t + wait;
         return;
       }
     } else {
       // Waking from a wait: re-check the room gate (drain may be needed).
-      const double room_wait =
-          c.buffer.time_until_room_for(c.spec.video->chunk_duration_s());
+      const double room_wait = session.room_wait_s();
       if (room_wait > kEps) {
-        c.rec.wait_s += room_wait;
+        session.pending_chunk().wait_s += room_wait;
         c.phase = Phase::kIdle;
         c.phase_until = t + room_wait;
         return;
       }
     }
-    // Issue one attempt of the current chunk.
+    // Issue one attempt of the open chunk.
     if (!c.fetch_started) {
       c.fetch_started = true;
-      c.rec.download_start_s = t;
-      c.rec.size_bits = c.spec.video->chunk_size_bits(c.rec.track,
-                                                      c.rec.index);
-      c.need_bits = c.rec.size_bits;
+      c.need_bits = session.begin_fetch(t);
       c.failures = 0;
     }
     c.attempt_start_s = t;
     c.attempt_failing = false;
     const net::FaultOutcome outcome =
-        c.fault.outcome(c.rec.index, c.failures);
+        c.fault.outcome(session.pending_chunk().index, c.failures);
     if (outcome.kind == net::FaultKind::kConnectFail ||
         outcome.kind == net::FaultKind::kTimeout) {
       // No bytes will flow; the failure's wall-clock cost elapses first.
-      double delay = 0.0;
-      if (outcome.kind == net::FaultKind::kConnectFail) {
-        ++c.rec.connect_failures;
-        delay = config.fault.connect_fail_delay_s;
-      } else {
-        ++c.rec.timeouts;
-        delay = config.request_rtt_s +
-                (config.retry.request_timeout_s > 0.0
-                     ? config.retry.request_timeout_s
-                     : config.fault.timeout_s);
-      }
+      session.count_failure(outcome.kind);
       c.pending_failure = true;
       c.phase = Phase::kIdle;
-      c.phase_until = t + delay;
+      c.phase_until =
+          t + charge_failed_attempt(trace, outcome, config.fault, config.retry,
+                                    t, config.request_rtt_s, c.need_bits)
+                  .elapsed_s;
       return;
     }
     if (outcome.kind == net::FaultKind::kMidDrop) {
-      ++c.rec.mid_drops;
+      session.count_failure(outcome.kind);
       c.attempt_failing = true;
       c.attempt_bits = outcome.drop_fraction * c.need_bits;
     } else {
@@ -332,43 +270,11 @@ MultiClientResult run_multi_client(const net::Trace& trace,
   };
 
   auto complete_chunk = [&](ClientState& c) {
-    const video::Video& v = *c.spec.video;
-    c.rec.download_s = t - c.attempt_start_s;
-    c.rec.attempts = c.failures + 1;
-    c.buffer.add_chunk(v.chunk_duration_s());
-    c.rec.buffer_after_s = c.buffer.level_s();
-    c.rec.quality = v.track(c.rec.track).chunk(c.rec.index).quality;
-    c.spec.estimator->on_chunk_downloaded(c.attempt_bits, c.rec.download_s,
-                                          t);
-    c.spec.scheme->on_chunk_downloaded(c.last_ctx, c.rec.track,
-                                       c.rec.download_s);
-    if (c.spec.size_provider) {
-      c.spec.size_provider->on_actual_size(
-          v, c.rec.track, c.rec.index,
-          v.chunk_size_bits(c.rec.track, c.rec.index));
-    }
-    if (!c.buffer.playing() &&
-        (c.buffer.level_s() >= config.startup_latency_s ||
-         c.rec.index + 1 == c.total_chunks)) {
-      c.buffer.start_playback();
-      c.result.startup_delay_s = t - c.spec.start_offset_s;
-    }
-    c.result.total_bits += c.rec.size_bits;
-    c.result.chunks.push_back(c.rec);
-    c.telemetry.on_chunk(c.rec, c.last_ctx, *c.spec.scheme,
-                         c.result.total_rebuffer_s, t);
-    c.prev_track = static_cast<int>(c.rec.track);
-    ++c.next_chunk;
-    c.room_checked = false;
-    c.fetch_started = false;
-    c.failures = 0;
-    if (c.next_chunk >= c.total_chunks) {
-      c.phase = Phase::kDone;
-      c.result.end_time_s = t;
-    } else {
-      c.phase = Phase::kIdle;
-      c.phase_until = t;  // immediately eligible
-    }
+    ChunkRecord& rec = c.session.pending_chunk();
+    rec.download_s = t - c.attempt_start_s;
+    rec.attempts = c.failures + 1;
+    c.session.deliver(t, c.attempt_bits);
+    close_chunk(c);
   };
 
   while (true) {
@@ -424,12 +330,11 @@ MultiClientResult run_multi_client(const net::Trace& trace,
       if (c.phase == Phase::kDone) {
         continue;
       }
-      const double stalled = c.buffer.elapse(dt);
-      if (c.phase == Phase::kDownloading) {
+      const bool in_transfer = c.phase == Phase::kDownloading;
+      if (in_transfer) {
         c.remaining_bits -= share * dt;
-        c.rec.stall_s += stalled;
       }
-      c.result.total_rebuffer_s += stalled;
+      c.session.elapse(dt, in_transfer);
     }
     t += dt;
 
@@ -445,14 +350,10 @@ MultiClientResult run_multi_client(const net::Trace& trace,
     }
   }
 
-  if (config.trace != nullptr) {
-    config.trace->flush();
-  }
-
   MultiClientResult result;
   result.sessions.reserve(state.size());
   for (ClientState& c : state) {
-    result.sessions.push_back(std::move(c.result));
+    result.sessions.push_back(c.session.finish());
   }
   return result;
 }

@@ -7,9 +7,16 @@
 // single-session harness cannot: do CAVA clients share fairly with each
 // other and with other schemes?
 //
-// Semantics per client are identical to run_session (same startup, buffer
-// cap, wait handling); with a single client the results match run_session
-// exactly (unit-tested).
+// Each client is a SessionStepper (sim/stepper.h) that this driver moves
+// through its sub-steps on one shared clock, so startup, buffer cap,
+// decision validation, watchdog budgets (the sim-time budget counts from
+// the client's start_offset_s) and telemetry are run_session's. The
+// transfer differs: bytes arrive as a fluid fair share, the loop advances
+// in trace-sample steps, and waits under 1e-7 s are float residue it
+// ignores. So a single client picks the same tracks as run_session with
+// download times within 1e-3 s, rebuffering within 1e-2 s and total bits
+// within 1 bit (MultiClient.SingleClientMatchesRunSession), not byte for
+// byte.
 #pragma once
 
 #include <memory>

@@ -1,7 +1,8 @@
 // Retry policy and failed-attempt accounting for fault-injected sessions.
 //
-// Graceful-degradation semantics (shared by the VoD, live, and multi-client
-// loops):
+// Graceful-degradation semantics (shared by SessionStepper's fetch ladder,
+// which VoD and live sessions run, and run_multi_client's fair-share
+// transfer):
 //   - every failed attempt consumes wall-clock time exactly as a player
 //     would experience it (connect delay, partial transfer, or timeout);
 //     the buffer drains in real time throughout, and stalls are charged to

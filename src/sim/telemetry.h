@@ -1,5 +1,5 @@
-// Session-loop telemetry plumbing shared by run_session, run_live_session,
-// and run_multi_client.
+// Session-loop telemetry plumbing of SessionStepper (sim/stepper.h), the
+// session core behind run_session, run_live_session and run_multi_client.
 //
 // SessionTelemetry is bound once per session (caching the scheme name, the
 // size-knowledge mode, and the metric handles) and then fed one call per

@@ -176,6 +176,16 @@ TEST(Live, ConfigValidation) {
                std::invalid_argument);
 }
 
+TEST(Live, RejectsNegativeWaitFromScheme) {
+  // Same decision rule as run_session: a negative idle is a scheme bug.
+  const video::Video v = testutil::default_flat_video(30);
+  const net::Trace t = flat_trace(5e6);
+  testutil::NegativeWaitScheme scheme;
+  net::HarmonicMeanEstimator est(5);
+  EXPECT_THROW((void)sim::run_live_session(v, t, scheme, est),
+               std::logic_error);
+}
+
 TEST(Live, DownloadsRespectProductionTimes) {
   const video::Video v = corpus_video();
   const net::Trace t = flat_trace(50e6);

@@ -44,6 +44,71 @@ TEST(MultiClient, Validation) {
                std::invalid_argument);
 }
 
+TEST(MultiClient, RejectsNegativeWaitFromScheme) {
+  // Same decision rule as run_session: a negative idle is a scheme bug.
+  const video::Video v = testutil::default_flat_video(30);
+  const net::Trace t = flat_trace(5e6);
+  std::vector<sim::ClientSpec> clients;
+  clients.push_back(make_client(v));
+  clients[0].scheme = std::make_unique<testutil::NegativeWaitScheme>();
+  EXPECT_THROW((void)sim::run_multi_client(t, std::move(clients)),
+               std::logic_error);
+}
+
+TEST(MultiClient, WatchdogDecisionBudgetStopsEveryClient) {
+  const video::Video v = testutil::default_flat_video(30);
+  const net::Trace t = flat_trace(5e6);
+  std::vector<sim::ClientSpec> clients;
+  clients.push_back(make_client(v));
+  clients.push_back(make_client(v, 4.0));
+  sim::SessionConfig cfg;
+  cfg.watchdog_max_decisions = 3;
+  const auto r = sim::run_multi_client(t, std::move(clients), cfg);
+  ASSERT_EQ(r.sessions.size(), 2u);
+  for (const sim::SessionResult& s : r.sessions) {
+    EXPECT_EQ(s.chunks.size(), 3u);
+    EXPECT_TRUE(s.watchdog_aborted);
+  }
+}
+
+TEST(MultiClient, WatchdogAbortedClientLeavesTheFairShare) {
+  // A fixed 3.2 Mbit chunk takes 0.8 s alone on a 4 Mbps link and longer
+  // while two clients share it. The sim-time budget counts from each
+  // client's own join time: the first client (joined at 0) stops at its
+  // first decision after 6 s, the second (joined at 5 s) runs until 11 s,
+  // alone on the link once the first has stopped.
+  const video::Video v = testutil::default_flat_video(30);
+  const net::Trace t = flat_trace(4e6);
+  std::vector<sim::ClientSpec> clients;
+  for (const double offset : {0.0, 5.0}) {
+    sim::ClientSpec spec = make_client(v, offset);
+    spec.scheme = std::make_unique<abr::FixedTrackScheme>(3);
+    clients.push_back(std::move(spec));
+  }
+  sim::SessionConfig cfg;
+  cfg.watchdog_max_sim_s = 6.0;
+  const auto r = sim::run_multi_client(t, std::move(clients), cfg);
+  const sim::SessionResult& first = r.sessions[0];
+  const sim::SessionResult& second = r.sessions[1];
+  EXPECT_TRUE(first.watchdog_aborted);
+  EXPECT_TRUE(second.watchdog_aborted);
+  EXPECT_GE(first.end_time_s, 6.0);
+  EXPECT_LT(first.end_time_s, 6.0 + 1.6 + 1e-6);
+  EXPECT_GE(second.end_time_s, 11.0);
+  EXPECT_LT(second.chunks.size(), 30u);
+
+  std::size_t alone = 0;
+  for (const sim::ChunkRecord& c : second.chunks) {
+    if (c.download_start_s >= first.end_time_s - 1e-9) {
+      EXPECT_NEAR(c.download_s, 0.8, 1e-3) << "chunk " << c.index;
+      ++alone;
+    } else {
+      EXPECT_GT(c.download_s, 0.8 + 0.1) << "chunk " << c.index;
+    }
+  }
+  EXPECT_GT(alone, 0u);
+}
+
 TEST(MultiClient, SingleClientMatchesRunSession) {
   // The anchor: with one client, the shared-bottleneck event loop must
   // reproduce run_session decision-for-decision.

@@ -238,6 +238,15 @@ TEST(Session, RejectsInvalidTrackFromScheme) {
                std::logic_error);
 }
 
+TEST(Session, RejectsNegativeWaitFromScheme) {
+  const video::Video v = default_flat_video(30);
+  const net::Trace t = flat_trace(5e6);
+  testutil::NegativeWaitScheme scheme;
+  net::HarmonicMeanEstimator est(5);
+  EXPECT_THROW((void)sim::run_session(v, t, scheme, est, quick_config()),
+               std::logic_error);
+}
+
 TEST(Session, SchemeWaitDelaysDownloads) {
   const video::Video v = default_flat_video(10);
   const net::Trace t = flat_trace(50e6);

@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <ostream>
+#include <string>
 #include <vector>
 
 #include "abr/scheme.h"
@@ -74,6 +75,16 @@ inline abr::StreamContext make_context(const video::Video& v,
   ctx.now_s = now_s;
   return ctx;
 }
+
+/// A scheme that asks to idle for -1 s before every download. Every session
+/// driver must reject its first decision.
+class NegativeWaitScheme final : public abr::AbrScheme {
+ public:
+  [[nodiscard]] abr::Decision decide(const abr::StreamContext&) override {
+    return abr::Decision{.track = 0, .wait_s = -1.0};
+  }
+  [[nodiscard]] std::string name() const override { return "negative-wait"; }
+};
 
 /// A scheme factory used as a gtest parameter, with a fixed label.
 /// gtest prints a bare function pointer as its address, and ctest's
