@@ -1,11 +1,14 @@
 // In-situ A/B experimentation harness: stratified permuted-block balance,
 // thread/title_batch invariance of the assignment and the full ab_report
 // JSON, the A/A invariance property (identical arms must not light up after
-// BH correction), a real handicapped-arm detection, and spec / config / input
-// validation with field-named errors.
+// BH correction), a real handicapped-arm detection, spec / config / input
+// validation with field-named errors, and FNV-1a-64 pins of the report
+// bytes that hold across commits.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -375,6 +378,120 @@ TEST(AbExperiment, AnalysisConfigValidation) {
   cfg = exp::AbAnalysisConfig();
   cfg.min_stratum_sessions = 1;
   expect_cfg_error(cfg, "AbAnalysisConfig.min_stratum_sessions");
+}
+
+// ------------------------------------------------------------ report pins --
+
+std::uint64_t fnv1a64(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::string hex(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+enum class Arms { kTwo, kThree };
+
+struct ReportCase {
+  const char* name;
+  Arms arms;
+  std::size_t sessions;
+  stats::BootstrapKind kind;
+  std::size_t min_stratum_sessions;
+  const char* pin;
+};
+
+// The 90-session fleets leave most strata with a handful of sessions per
+// arm: at the default floor of 8 every stratum cell is a bare point
+// estimate; at a floor of 2 the cells split into CIs, sub-floor singletons
+// and empty cells (an arm that never reached the stratum). Neither bba nor
+// fixed-lo ever rebuffers, so in the 2-arm fleets rebuffer_s is 0 for every
+// session: its arm intervals and their difference are degenerate.
+const ReportCase kReportCases[] = {
+    {"2 arms bca", Arms::kTwo, 90, stats::BootstrapKind::kBca, 8,
+     "c6b277b1ac0e6503"},
+    {"2 arms percentile", Arms::kTwo, 90, stats::BootstrapKind::kPercentile,
+     8, "c27e1d1e4019716b"},
+    {"3 arms bca", Arms::kThree, 90, stats::BootstrapKind::kBca, 8,
+     "48ca424a9717712f"},
+    {"3 arms percentile", Arms::kThree, 90,
+     stats::BootstrapKind::kPercentile, 8, "d04367beeb800baf"},
+    {"3 arms bca floor 2", Arms::kThree, 90, stats::BootstrapKind::kBca, 2,
+     "17d35d814de36dde"},
+    {"3 arms percentile floor 2", Arms::kThree, 90,
+     stats::BootstrapKind::kPercentile, 2, "bde8878bdb25e9c5"},
+};
+
+/// What the pinned reports exercise, summed over all cases.
+struct ReportCoverage {
+  std::size_t sub_floor_cells = 0;  ///< n > 0 but no CI.
+  std::size_t empty_cells = 0;      ///< n == 0.
+  std::size_t stratum_cis = 0;
+  std::size_t degenerate_cis = 0;  ///< lo == hi over n >= 2 sessions.
+  std::size_t degenerate_diffs = 0;  ///< Both arms constant.
+};
+
+std::string run_report_case(const ReportCase& c, ReportCoverage* cov) {
+  const std::vector<net::Trace> traces = ab_traces();
+  fleet::FleetSpec spec = ab_spec(traces, c.sessions);
+  if (c.arms == Arms::kThree) {
+    add_three_arms(spec);
+  } else {
+    spec.experiment.arms.push_back(make_arm(
+        "bba", [] { return std::make_unique<abr::Bba>(); }));
+    spec.experiment.arms.push_back(make_arm(
+        "fixed-lo",
+        [] { return std::make_unique<abr::FixedTrackScheme>(0); }));
+  }
+  const fleet::FleetResult result = fleet::run_fleet(spec);
+  exp::AbAnalysisConfig cfg;
+  cfg.bootstrap.kind = c.kind;
+  cfg.min_stratum_sessions = c.min_stratum_sessions;
+  const exp::AbReport report = exp::analyze_ab(result, cfg);
+
+  for (const exp::AbMetricReport& m : report.metrics) {
+    for (const exp::AbEstimate& e : m.arms) {
+      if (e.has_ci && e.n >= 2 && e.lo == e.hi) {
+        ++cov->degenerate_cis;
+      }
+    }
+    for (const exp::AbPairTest& p : m.pairs) {
+      cov->degenerate_diffs += p.diff.lo == p.diff.hi ? 1 : 0;
+    }
+  }
+  for (const exp::AbStratumReport& s : report.strata) {
+    for (const auto& arms : s.cells) {
+      for (const exp::AbEstimate& e : arms) {
+        cov->empty_cells += e.n == 0 ? 1 : 0;
+        cov->sub_floor_cells += e.n > 0 && !e.has_ci ? 1 : 0;
+        cov->stratum_cis += e.has_ci ? 1 : 0;
+      }
+    }
+  }
+  std::ostringstream out;
+  report.write_json(out);
+  return hex(fnv1a64(out.str()));
+}
+
+TEST(AbExperiment, ReportMatchesPins) {
+  ReportCoverage cov;
+  for (const ReportCase& c : kReportCases) {
+    EXPECT_EQ(run_report_case(c, &cov), c.pin) << c.name;
+  }
+  // The pins see every branch of the estimate and interval code.
+  EXPECT_GT(cov.sub_floor_cells, 0u);
+  EXPECT_GT(cov.empty_cells, 0u);
+  EXPECT_GT(cov.stratum_cis, 0u);
+  EXPECT_GT(cov.degenerate_cis, 0u);
+  EXPECT_GT(cov.degenerate_diffs, 0u);
 }
 
 }  // namespace
