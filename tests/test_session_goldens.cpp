@@ -235,39 +235,52 @@ TEST(SessionGolden, LiveDriverMatchesPins) {
 
 // ---------------------------------------------------------- multi-client --
 
-enum class Mix { kTwoCava, kCavaBolaStaggered, kThreeWatchDurations };
+enum class Mix {
+  kTwoCava,
+  kCavaBolaStaggered,
+  kThreeWatchDurations,
+  kTwoBola,
+};
 
 struct MultiCase {
   Mix mix;
   double rtt_s;
   bool faults;
+  double max_buffer_s;
   const char* pin;
 };
 
 std::string multi_name(const MultiCase& c) {
-  const char* mix = c.mix == Mix::kTwoCava             ? "2xCAVA"
-                    : c.mix == Mix::kCavaBolaStaggered ? "CAVA+BOLA-E@5s"
-                                                       : "3 watch durations";
+  const char* mix = c.mix == Mix::kTwoCava               ? "2xCAVA"
+                    : c.mix == Mix::kCavaBolaStaggered   ? "CAVA+BOLA-E@5s"
+                    : c.mix == Mix::kThreeWatchDurations ? "3 watch durations"
+                                                         : "2xBOLA-E";
   return std::string(mix) + " rtt " + std::to_string(c.rtt_s) +
-         (c.faults ? " faults" : " clean");
+         (c.faults ? " faults" : " clean") + " cap " +
+         std::to_string(static_cast<int>(c.max_buffer_s));
 }
 
 // 120 two-second chunks per client over an LTE trace at three times its
 // rate, with a 40 s player cap: room waits, BOLA-E pauses, stalls, skips and
-// downgrades all occur across the cases.
+// downgrades all occur across the cases. BOLA-E pauses once its buffer
+// passes its 30 s target, and a delivery lifts the buffer at most one chunk
+// above it; under a 31 s cap the room gate binds on those same decisions,
+// so the 2xBOLA-E cases pin how a scheme wait and a room wait combine.
 const MultiCase kMultiCases[] = {
-    {Mix::kTwoCava, 0.0, false, "ec6dd75f8b060ebb"},
-    {Mix::kTwoCava, 0.0, true, "c5c0b5e27107a745"},
-    {Mix::kTwoCava, 0.05, false, "0b0c76afa97f5a57"},
-    {Mix::kTwoCava, 0.05, true, "994b741c91094f14"},
-    {Mix::kCavaBolaStaggered, 0.0, false, "10f095afacbefdb3"},
-    {Mix::kCavaBolaStaggered, 0.0, true, "2c8172b1ba0a9608"},
-    {Mix::kCavaBolaStaggered, 0.05, false, "704d16a5848b677d"},
-    {Mix::kCavaBolaStaggered, 0.05, true, "434e20ba3db8fefa"},
-    {Mix::kThreeWatchDurations, 0.0, false, "941db19268b70933"},
-    {Mix::kThreeWatchDurations, 0.0, true, "6b766061045ef34f"},
-    {Mix::kThreeWatchDurations, 0.05, false, "84d62d931915f1e7"},
-    {Mix::kThreeWatchDurations, 0.05, true, "57fc3435beeeecc5"},
+    {Mix::kTwoCava, 0.0, false, 40.0, "ec6dd75f8b060ebb"},
+    {Mix::kTwoCava, 0.0, true, 40.0, "c5c0b5e27107a745"},
+    {Mix::kTwoCava, 0.05, false, 40.0, "0b0c76afa97f5a57"},
+    {Mix::kTwoCava, 0.05, true, 40.0, "994b741c91094f14"},
+    {Mix::kCavaBolaStaggered, 0.0, false, 40.0, "10f095afacbefdb3"},
+    {Mix::kCavaBolaStaggered, 0.0, true, 40.0, "2c8172b1ba0a9608"},
+    {Mix::kCavaBolaStaggered, 0.05, false, 40.0, "704d16a5848b677d"},
+    {Mix::kCavaBolaStaggered, 0.05, true, 40.0, "434e20ba3db8fefa"},
+    {Mix::kThreeWatchDurations, 0.0, false, 40.0, "941db19268b70933"},
+    {Mix::kThreeWatchDurations, 0.0, true, 40.0, "6b766061045ef34f"},
+    {Mix::kThreeWatchDurations, 0.05, false, 40.0, "84d62d931915f1e7"},
+    {Mix::kThreeWatchDurations, 0.05, true, 40.0, "57fc3435beeeecc5"},
+    {Mix::kTwoBola, 0.0, false, 31.0, "6cd6c69d8579847d"},
+    {Mix::kTwoBola, 0.05, true, 31.0, "a3b0d6c4b6ace088"},
 };
 
 sim::ClientSpec client(const video::Video& v, const std::string& scheme,
@@ -302,12 +315,16 @@ std::string run_multi_case(const MultiCase& c,
       clients.push_back(client(v, "BOLA-E", 0.0, 40.0));
       clients.push_back(client(v, "RobustMPC", 2.0, 90.0));
       break;
+    case Mix::kTwoBola:
+      clients.push_back(client(v, "BOLA-E"));
+      clients.push_back(client(v, "BOLA-E"));
+      break;
   }
   obs::MemoryTraceSink sink;
   obs::MetricsRegistry reg;
   sim::SessionConfig cfg;
   cfg.request_rtt_s = c.rtt_s;
-  cfg.max_buffer_s = 40.0;
+  cfg.max_buffer_s = c.max_buffer_s;
   if (c.faults) {
     cfg.fault = hostile_faults(31);
     cfg.retry.resume_partial = true;
