@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <ostream>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -36,22 +37,41 @@ double fixed_metric_value(const fleet::FleetSessionRecord& rec,
   }
 }
 
-AbEstimate estimate(std::span<const double> xs, const stats::BootstrapConfig& b,
-                    std::size_t min_n_for_ci) {
-  AbEstimate e;
-  e.n = xs.size();
-  double sum = 0.0;
-  for (double v : xs) {
-    sum += v;
+// Session values of one cell (an arm, or an arm within a stratum), one
+// column per metric; every column holds the same sessions in session-id
+// (arrival) order, so every downstream statistic folds deterministically.
+using Cell = std::vector<std::vector<double>>;
+
+std::vector<std::span<const double>> column_spans(const Cell& cell) {
+  return {cell.begin(), cell.end()};
+}
+
+// Per-metric point estimates for one cell. With at least `min_n_for_ci`
+// sessions, one bootstrap over all the metric columns adds the CIs.
+std::vector<AbEstimate> estimate_cell(const Cell& cell,
+                                      const stats::BootstrapConfig& b,
+                                      std::size_t min_n_for_ci) {
+  std::vector<AbEstimate> out(cell.size());
+  for (std::size_t m = 0; m < cell.size(); ++m) {
+    const std::vector<double>& xs = cell[m];
+    double sum = 0.0;
+    for (double v : xs) {
+      sum += v;
+    }
+    out[m].n = xs.size();
+    out[m].mean = xs.empty() ? 0.0 : sum / static_cast<double>(xs.size());
   }
-  e.mean = xs.empty() ? 0.0 : sum / static_cast<double>(xs.size());
-  if (xs.size() >= min_n_for_ci && !xs.empty()) {
-    const stats::BootstrapCi ci = stats::bootstrap_mean_ci(xs, b);
-    e.has_ci = true;
-    e.lo = ci.lo;
-    e.hi = ci.hi;
+  const std::size_t n = cell.front().size();
+  if (n >= min_n_for_ci && n > 0) {
+    const std::vector<stats::BootstrapCi> cis =
+        stats::bootstrap_mean_cis(column_spans(cell), b);
+    for (std::size_t m = 0; m < cell.size(); ++m) {
+      out[m].has_ci = true;
+      out[m].lo = cis[m].lo;
+      out[m].hi = cis[m].hi;
+    }
   }
-  return e;
+  return out;
 }
 
 void append_estimate(std::string& s, const AbEstimate& e) {
@@ -127,13 +147,10 @@ AbReport analyze_ab(const fleet::FleetResult& result,
     report.metric_names.emplace_back(name);
   }
 
-  // values[metric][arm] — session values in session-id (arrival) order, so
-  // every downstream statistic folds deterministically.
-  std::vector<std::vector<std::vector<double>>> values(
-      num_metrics, std::vector<std::vector<double>>(num_arms));
-  // Per-stratum cells keyed by stratum id (std::map = ascending order).
-  std::map<std::uint32_t, std::vector<std::vector<std::vector<double>>>>
-      stratum_values;
+  // values[arm][metric], and the same per stratum (std::map = ascending
+  // stratum order).
+  std::vector<Cell> values(num_arms, Cell(num_metrics));
+  std::map<std::uint32_t, std::vector<Cell>> stratum_values;
   for (const fleet::FleetSessionRecord& rec : result.sessions) {
     if (rec.class_index >= num_arms) {
       continue;
@@ -142,9 +159,7 @@ AbReport analyze_ab(const fleet::FleetResult& result,
     if (it == stratum_values.end()) {
       it = stratum_values
                .emplace(rec.stratum,
-                        std::vector<std::vector<std::vector<double>>>(
-                            num_metrics,
-                            std::vector<std::vector<double>>(num_arms)))
+                        std::vector<Cell>(num_arms, Cell(num_metrics)))
                .first;
     }
     for (std::size_t m = 0; m < num_metrics; ++m) {
@@ -154,15 +169,29 @@ AbReport analyze_ab(const fleet::FleetResult& result,
       } else {
         v = fixed_metric_value(rec, m - num_qoe);
       }
-      values[m][rec.class_index].push_back(v);
-      it->second[m][rec.class_index].push_back(v);
+      values[rec.class_index][m].push_back(v);
+      it->second[rec.class_index][m].push_back(v);
     }
   }
   for (std::size_t a = 0; a < num_arms; ++a) {
-    if (!values.empty() && values[0][a].size() < 2) {
+    if (values[a][0].size() < 2) {
       throw std::invalid_argument(
           "analyze_ab: arm \"" + report.arm_labels[a] +
           "\" has fewer than 2 sessions — the tests need n >= 2 per arm");
+    }
+  }
+
+  // One column bootstrap per arm and per arm pair serves every metric.
+  std::vector<std::vector<AbEstimate>> arm_estimates;
+  arm_estimates.reserve(num_arms);
+  for (std::size_t a = 0; a < num_arms; ++a) {
+    arm_estimates.push_back(estimate_cell(values[a], cfg.bootstrap, 2));
+  }
+  std::vector<std::vector<stats::BootstrapCi>> pair_diffs;
+  for (std::size_t a = 0; a < num_arms; ++a) {
+    for (std::size_t b = a + 1; b < num_arms; ++b) {
+      pair_diffs.push_back(stats::bootstrap_mean_diff_cis(
+          column_spans(values[a]), column_spans(values[b]), cfg.bootstrap));
     }
   }
 
@@ -176,18 +205,17 @@ AbReport analyze_ab(const fleet::FleetResult& result,
     mr.metric = report.metric_names[m];
     mr.arms.reserve(num_arms);
     for (std::size_t a = 0; a < num_arms; ++a) {
-      mr.arms.push_back(estimate(values[m][a], cfg.bootstrap, 2));
+      mr.arms.push_back(arm_estimates[a][m]);
     }
+    std::size_t pair = 0;
     for (std::size_t a = 0; a < num_arms; ++a) {
       for (std::size_t b = a + 1; b < num_arms; ++b) {
         AbPairTest pt;
         pt.arm_a = a;
         pt.arm_b = b;
-        pt.welch = stats::welch_t_test(values[m][a], values[m][b]);
-        pt.mwu = stats::mann_whitney_u(values[m][a], values[m][b]);
-        pt.diff =
-            stats::bootstrap_mean_diff_ci(values[m][a], values[m][b],
-                                          cfg.bootstrap);
+        pt.welch = stats::welch_t_test(values[a][m], values[b][m]);
+        pt.mwu = stats::mann_whitney_u(values[a][m], values[b][m]);
+        pt.diff = pair_diffs[pair++][m];
         family.push_back(pt.welch.p);
         family.push_back(pt.mwu.p);
         mr.pairs.push_back(std::move(pt));
@@ -212,12 +240,12 @@ AbReport analyze_ab(const fleet::FleetResult& result,
   for (const auto& [stratum, cells] : stratum_values) {
     AbStratumReport sr;
     sr.stratum = stratum;
-    sr.cells.resize(num_metrics);
-    for (std::size_t m = 0; m < num_metrics; ++m) {
-      sr.cells[m].reserve(num_arms);
-      for (std::size_t a = 0; a < num_arms; ++a) {
-        sr.cells[m].push_back(
-            estimate(cells[m][a], cfg.bootstrap, cfg.min_stratum_sessions));
+    sr.cells.assign(num_metrics, std::vector<AbEstimate>(num_arms));
+    for (std::size_t a = 0; a < num_arms; ++a) {
+      const std::vector<AbEstimate> est =
+          estimate_cell(cells[a], cfg.bootstrap, cfg.min_stratum_sessions);
+      for (std::size_t m = 0; m < num_metrics; ++m) {
+        sr.cells[m][a] = est[m];
       }
     }
     report.strata.push_back(std::move(sr));
