@@ -124,11 +124,6 @@ class SessionStepper {
   /// of the latest sub-step.
   [[nodiscard]] double now_s() const { return t_; }
 
-  /// Index of the next chunk decision (== chunks resolved so far).
-  [[nodiscard]] std::size_t next_chunk() const { return i_; }
-
-  [[nodiscard]] std::size_t total_chunks() const { return total_chunks_; }
-
   /// Time spent waiting for chunks to be released (live sessions).
   [[nodiscard]] double release_wait_s() const { return release_wait_s_; }
 
