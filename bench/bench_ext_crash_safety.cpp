@@ -13,7 +13,9 @@
 //      without, telemetry collected in both, best of 3) at N = 250 / 500 /
 //      1,000 / 2,000 sessions. The append-only journal writes each session
 //      once, so this grows linearly in N; a whole-file snapshot rewrites
-//      every completed session at each checkpoint and grows as N^2.
+//      every completed session at each checkpoint and grows as N^2. The
+//      run stats split the checkpointed run's time into the barrier-held
+//      capture and the commit that runs after the barrier's release.
 //   4. Durable telemetry: events/s through the plain JSONL sink vs the
 //      checksummed + fsync'd DurableJsonlTraceSink.
 //
@@ -25,6 +27,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common.h"
@@ -139,13 +142,16 @@ int main() {
 
   std::printf("== in-run checkpoint cost vs run length (every 100, "
               "telemetry on) ==\n");
-  std::printf("%8s %10s %10s %12s %14s %12s\n", "sessions", "off(s)",
-              "on(s)", "ckpt(s)", "ckpt/session", "bytes");
+  std::printf("%8s %10s %10s %12s %14s %12s %11s %10s\n", "sessions",
+              "off(s)", "on(s)", "ckpt(s)", "ckpt/session", "bytes",
+              "barrier(s)", "commit(s)");
   for (const std::size_t sessions : {std::size_t{250}, std::size_t{500},
                                      std::size_t{1000}, std::size_t{2000}}) {
     const std::string path = tmp_path("bench_crash_safety_len.ckpt");
-    const auto best_wall = [&](bool checkpoints) {
+    // Best wall of 3, with the run stats of that best run.
+    const auto best_run = [&](bool checkpoints) {
       double best = 0.0;
+      fleet::FleetRunStats best_stats;
       for (int rep = 0; rep < 3; ++rep) {
         fleet::FleetSpec spec = base_spec(traces, sessions);
         obs::MemoryTraceSink sink;
@@ -158,21 +164,27 @@ int main() {
           spec.checkpoint_every = 100;
         }
         const auto t0 = Clock::now();
-        (void)fleet::run_fleet(spec);
+        const fleet::FleetResult r = fleet::run_fleet(spec);
         const double wall = secs_since(t0);
-        best = rep == 0 ? wall : std::min(best, wall);
+        if (rep == 0 || wall < best) {
+          best = wall;
+          best_stats = r.run_stats;
+        }
       }
-      return best;
+      return std::make_pair(best, best_stats);
     };
-    const double off = best_wall(false);
-    const double on = best_wall(true);
+    const double off = best_run(false).first;
+    const auto [on, stats] = best_run(true);
     const double ckpt = std::max(0.0, on - off);
-    std::printf("%8zu %10.3f %10.3f %12.3f %11.3f ms %12ld\n", sessions, off,
-                on, ckpt, ckpt * 1e3 / static_cast<double>(sessions),
-                file_bytes(path));
+    std::printf("%8zu %10.3f %10.3f %12.3f %11.3f ms %12ld %11.3f %10.3f\n",
+                sessions, off, on, ckpt,
+                ckpt * 1e3 / static_cast<double>(sessions), file_bytes(path),
+                stats.checkpoint_capture_s, stats.checkpoint_commit_s);
     std::remove(path.c_str());
   }
-  std::printf("\n");
+  std::printf("(barrier: seconds the captures held every worker parked; "
+              "commit: seconds of write + fsync after the barrier's "
+              "release, from FleetResult::run_stats)\n\n");
 
   std::printf("== durable vs plain JSONL sink: events/s ==\n");
   obs::DecisionEvent ev;

@@ -1,12 +1,15 @@
 #include "fleet/checkpoint.h"
 
 #include <fcntl.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <bit>
 #include <cerrno>
 #include <charconv>
+#include <climits>
+#include <span>
 #include <string_view>
 #include <system_error>
 #include <unordered_set>
@@ -832,17 +835,21 @@ void put_session(std::string& s, const FleetSessionRecord& rec,
   }
 }
 
-/// Closes the segment that starts at s[start]: "end <8hex>\n", the checksum
-/// covering the segment plus the "end " prefix itself (load() mirrors).
-void put_trailer(std::string& s, std::size_t start) {
-  s += "end ";
-  const std::uint32_t crc = obs::line_checksum(
-      std::string_view(s.data() + start, s.size() - start));
+/// "end " + 8 hex digits + '\n'.
+constexpr std::size_t kTrailerBytes = 13;
+
+/// The "end <8hex>\n" trailer that closes a segment. `h` is the running
+/// checksum over the segment's bytes; the trailer's own "end " prefix is
+/// covered too (load() mirrors).
+std::string trailer(std::uint32_t h) {
+  std::string s = "end ";
+  const std::uint32_t crc = obs::line_checksum(s, h);
   static const char* digits = "0123456789abcdef";
   for (int shift = 28; shift >= 0; shift -= 4) {
     s += digits[(crc >> shift) & 0xFu];
   }
   s += '\n';
+  return s;
 }
 
 [[noreturn]] void throw_errno(int err, const std::string& what) {
@@ -850,15 +857,24 @@ void put_trailer(std::string& s, std::size_t start) {
                           what);
 }
 
-/// Writes all of `data` to `fd` at `offset`; on failure closes fd and throws
-/// naming `path`.
-void write_all_at(int fd, const std::string& path, const std::string& data,
-                  off_t offset, const char* who) {
-  std::size_t done = 0;
-  while (done < data.size()) {
-    const ssize_t nw =
-        ::pwrite(fd, data.data() + done, data.size() - done,
-                 offset + static_cast<off_t>(done));
+/// Writes `pieces`, back to back, to `fd` at `offset` with positioned
+/// vector writes, then fsyncs and closes fd; on failure closes fd and
+/// throws naming `path`.
+void write_all_at(int fd, const std::string& path,
+                  std::span<const std::string_view> pieces, off_t offset,
+                  const char* who) {
+  std::vector<iovec> iov;
+  iov.reserve(pieces.size());
+  for (const std::string_view p : pieces) {
+    if (!p.empty()) {
+      iov.push_back({const_cast<char*>(p.data()), p.size()});
+    }
+  }
+  std::size_t next = 0;
+  while (next < iov.size()) {
+    const int count =
+        static_cast<int>(std::min<std::size_t>(iov.size() - next, IOV_MAX));
+    const ssize_t nw = ::pwritev(fd, iov.data() + next, count, offset);
     if (nw < 0) {
       if (errno == EINTR) {
         continue;
@@ -867,7 +883,17 @@ void write_all_at(int fd, const std::string& path, const std::string& data,
       ::close(fd);
       throw_errno(err, std::string(who) + ": write failed on '" + path + "'");
     }
-    done += static_cast<std::size_t>(nw);
+    offset += static_cast<off_t>(nw);
+    // Skip the pieces written whole; resume a partly written one.
+    auto left = static_cast<std::size_t>(nw);
+    while (next < iov.size() && left >= iov[next].iov_len) {
+      left -= iov[next].iov_len;
+      ++next;
+    }
+    if (left > 0) {
+      iov[next].iov_base = static_cast<char*>(iov[next].iov_base) + left;
+      iov[next].iov_len -= left;
+    }
   }
   if (::fsync(fd) != 0) {
     const int err = errno;
@@ -880,7 +906,8 @@ void write_all_at(int fd, const std::string& path, const std::string& data,
 /// Atomic durable replace: temp + fsync + rename + directory fsync. A crash
 /// at any byte of this sequence leaves either the old file or the new one —
 /// never a torn file under the real name.
-void write_atomically(const std::string& path, const std::string& data,
+void write_atomically(const std::string& path,
+                      std::span<const std::string_view> pieces,
                       const char* who) {
   const std::string tmp = path + ".tmp";
   errno = 0;
@@ -889,7 +916,7 @@ void write_atomically(const std::string& path, const std::string& data,
     throw_errno(errno, std::string(who) + ": cannot open '" + tmp + "'");
   }
   try {
-    write_all_at(fd, tmp, data, 0, who);
+    write_all_at(fd, tmp, pieces, 0, who);
   } catch (...) {
     ::unlink(tmp.c_str());
     throw;
@@ -916,7 +943,8 @@ void write_atomically(const std::string& path, const std::string& data,
 /// beyond them (a torn segment from a crashed run) is truncated first, so
 /// a new segment never lands behind a damaged one.
 void append_after(const std::string& path, std::uint64_t good_bytes,
-                  const std::string& data, const char* who) {
+                  std::span<const std::string_view> pieces,
+                  const char* who) {
   errno = 0;
   const int fd = ::open(path.c_str(), O_WRONLY);
   if (fd < 0) {
@@ -927,7 +955,7 @@ void append_after(const std::string& path, std::uint64_t good_bytes,
     ::close(fd);
     throw_errno(err, std::string(who) + ": cannot truncate '" + path + "'");
   }
-  write_all_at(fd, path, data, static_cast<off_t>(good_bytes), who);
+  write_all_at(fd, path, pieces, static_cast<off_t>(good_bytes), who);
 }
 
 std::string read_all(const std::string& path) {
@@ -1252,7 +1280,8 @@ void put_segment(std::string& s, const FleetCheckpoint::Segment& seg,
     put_session(s, ss.record, ss.has_events ? &ss.events : nullptr,
                 ss.has_metrics ? &ss.metrics : nullptr);
   }
-  put_trailer(s, start);
+  s += trailer(obs::line_checksum(
+      std::string_view(s.data() + start, s.size() - start)));
 }
 
 }  // namespace
@@ -1263,7 +1292,8 @@ void FleetCheckpoint::save(const std::string& path) const {
   for (std::size_t i = 0; i < segments.size(); ++i) {
     put_segment(s, segments[i], i + 1);
   }
-  write_atomically(path, s, "FleetCheckpoint::save");
+  const std::string_view whole = s;
+  write_atomically(path, {&whole, 1}, "FleetCheckpoint::save");
 }
 
 FleetCheckpoint FleetCheckpoint::load(const std::string& path) {
@@ -1341,7 +1371,9 @@ FleetCheckpoint FleetCheckpoint::load(const std::string& path) {
 
 CheckpointJournal::CheckpointJournal(std::string path,
                                      std::size_t num_sessions)
-    : path_(std::move(path)), journaled_(num_sessions, 0) {}
+    : path_(std::move(path)),
+      journaled_(num_sessions, 0),
+      blocks_(num_sessions) {}
 
 void CheckpointJournal::resume_from(const FleetCheckpoint& ck) {
   for (const FleetCheckpoint::Segment& seg : ck.segments) {
@@ -1350,15 +1382,23 @@ void CheckpointJournal::resume_from(const FleetCheckpoint& ck) {
     }
   }
   segments_ = ck.segments.size();
+  committed_ = segments_;
   bytes_ = ck.good_bytes;
 }
 
-void CheckpointJournal::append(
+void CheckpointJournal::encode(const FleetSessionRecord& rec,
+                               const obs::MemoryTraceSink* events,
+                               const obs::MetricsRegistry* metrics) {
+  std::string& block = blocks_[static_cast<std::size_t>(rec.session_id)];
+  block.clear();
+  put_session(block, rec, events != nullptr ? &events->events() : nullptr,
+              metrics);
+}
+
+CheckpointJournal::PendingSegment CheckpointJournal::capture(
     const FleetCheckpoint::Segment& head,
     const std::vector<std::size_t>& done_sids,
-    const std::vector<FleetSessionRecord>& records,
-    const std::vector<std::unique_ptr<obs::MemoryTraceSink>>& sinks,
-    const std::vector<std::unique_ptr<obs::MetricsRegistry>>& registries) {
+    std::chrono::steady_clock::time_point started) {
   std::vector<std::size_t> fresh;
   for (const std::size_t sid : done_sids) {
     if (journaled_[sid] == 0) {
@@ -1367,28 +1407,69 @@ void CheckpointJournal::append(
   }
   std::sort(fresh.begin(), fresh.end());
 
-  std::string s;
-  put_segment_head(s, head, segments_ + 1, fresh.size());
+  PendingSegment seg;
+  seg.number_ = segments_ + 1;
+  seg.offset_ = bytes_;
+  put_segment_head(seg.head_, head, seg.number_, fresh.size());
+  std::uint64_t length = seg.head_.size() + kTrailerBytes;
+  seg.blocks_.reserve(fresh.size());
   for (const std::size_t sid : fresh) {
-    const obs::MemoryTraceSink* sink =
-        sid < sinks.size() ? sinks[sid].get() : nullptr;
-    const obs::MetricsRegistry* registry =
-        sid < registries.size() ? registries[sid].get() : nullptr;
-    put_session(s, records[sid], sink != nullptr ? &sink->events() : nullptr,
-                registry);
-  }
-  put_trailer(s, 0);
-
-  if (segments_ == 0) {
-    write_atomically(path_, s, "CheckpointJournal::append");
-  } else {
-    append_after(path_, bytes_, s, "CheckpointJournal::append");
-  }
-  ++segments_;
-  bytes_ += s.size();
-  for (const std::size_t sid : fresh) {
+    if (blocks_[sid].empty()) {
+      throw std::logic_error("CheckpointJournal::capture: session " +
+                             std::to_string(sid) +
+                             " is done but was never encoded");
+    }
+    length += blocks_[sid].size();
+    seg.blocks_.push_back(std::move(blocks_[sid]));
     journaled_[sid] = 1;
   }
+  segments_ = seg.number_;
+  bytes_ += length;
+  ++stats_.checkpoint_segments;
+  stats_.checkpoint_bytes += length;
+  stats_.checkpoint_capture_s += std::chrono::duration<double>(
+                                     std::chrono::steady_clock::now() -
+                                     started)
+                                     .count();
+  return seg;
+}
+
+void CheckpointJournal::commit(PendingSegment seg) {
+  if (seg.number_ != committed_ + 1) {
+    throw std::logic_error("CheckpointJournal::commit: segment " +
+                           std::to_string(seg.number_) +
+                           " committed out of order");
+  }
+  if (broken_) {
+    committed_ = seg.number_;
+    return;  // an earlier commit failed and carries the run's error
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  std::uint32_t h = obs::line_checksum(seg.head_);
+  for (const std::string& block : seg.blocks_) {
+    h = obs::line_checksum(block, h);
+  }
+  const std::string end = trailer(h);
+  std::vector<std::string_view> pieces;
+  pieces.reserve(seg.blocks_.size() + 2);
+  pieces.emplace_back(seg.head_);
+  pieces.insert(pieces.end(), seg.blocks_.begin(), seg.blocks_.end());
+  pieces.emplace_back(end);
+  try {
+    if (seg.number_ == 1) {
+      write_atomically(path_, pieces, "CheckpointJournal::commit");
+    } else {
+      append_after(path_, seg.offset_, pieces, "CheckpointJournal::commit");
+    }
+  } catch (...) {
+    broken_ = true;
+    committed_ = seg.number_;
+    throw;
+  }
+  committed_ = seg.number_;
+  stats_.checkpoint_commit_s +=
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
 }
 
 }  // namespace vbr::fleet

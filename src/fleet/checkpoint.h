@@ -13,37 +13,43 @@
 // report JSON, and merged telemetry are byte-for-byte what an uninterrupted
 // run produces, at any thread count.
 //
-// The checkpoint *file* is NOT deterministic (which sessions have finished
-// when the snapshot fires depends on the thread schedule); only resume-to-
-// final-output is, and that is the property the tests pin.
+// The checkpoint *file* is NOT deterministic above one thread (which
+// sessions have finished when the snapshot fires depends on the thread
+// schedule); only resume-to-final-output is, and that is the property the
+// tests pin. Each session's block is the same at any thread count.
 //
 // Snapshot safety: checkpoints are taken at a cooperative barrier — every
 // worker parks at a session boundary (the event engine: between event
-// batches) — so a snapshot never sees a half-run session.
+// batches) — so a snapshot never sees a half-run session. The barrier
+// holds only the capture of a segment; its sessions were encoded by the
+// threads that completed them, and the commit to disk runs after the
+// barrier's release (CheckpointJournal below).
 //
 // The file is an append-only journal ("VBRFLEETCKPT 5"). Each snapshot
 // appends one segment: a header line (segment number, engine, events done,
 // fingerprints, geometry, sessions done), the small shared state (per-title
 // done counts, track rows, shard / regional / in-flight contents of
 // in-progress titles), and only the sessions completed since the previous
-// segment, closed by its own "end <8hex>" FNV-1a trailer. Checkpoint work is
-// therefore O(new sessions) per snapshot, not O(run). Durability follows the
-// durable JSONL sinks (obs/jsonl_io.h): the first segment of a fresh run
-// replaces any old file atomically (temp file + fsync + rename + directory
-// fsync); later segments are appended and fsynced. A torn or checksum-
-// failing *final* segment is the expected crash signature and load() drops
-// it; a resumed run truncates the file to the last good segment before it
-// appends. A damaged *interior* segment is a CheckpointError naming the
-// segment. load() also rejects bad magic, other versions (including the
-// whole-file v3/v4 snapshots), malformed fields, and inconsistent segment
-// sequences; run_fleet rejects a spec fingerprint that does not match the
-// running spec (a stale checkpoint from a different workload) and a journal
+// capture, closed by its own "end <8hex>" FNV-1a trailer. Checkpoint work
+// is therefore O(new sessions) per snapshot, not O(run). Durability follows
+// the durable JSONL sinks (obs/jsonl_io.h): the first segment of a fresh
+// run replaces any old file atomically (temp file + fsync + rename +
+// directory fsync); later segments are appended and fsynced. A segment is
+// durable when its fsync returns; sessions that complete while a commit
+// runs land in the next segment. A torn or checksum-failing *final*
+// segment is the expected crash signature and load() drops it; a resumed
+// run truncates the file to the last good segment before it appends. A
+// damaged *interior* segment is a CheckpointError naming the segment.
+// load() also rejects bad magic, other versions (including the whole-file
+// v3/v4 snapshots), malformed fields, and inconsistent segment sequences;
+// run_fleet rejects a spec fingerprint that does not match the running
+// spec (a stale checkpoint from a different workload) and a journal
 // written by the other engine — each with a named CheckpointError.
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -206,40 +212,90 @@ struct FleetCheckpoint {
   [[nodiscard]] static FleetCheckpoint load(const std::string& path);
 };
 
-/// The in-run writer of a checkpoint journal, shared by both engines. Each
-/// append() serializes one segment: the caller's header and title states,
-/// plus the completed sessions not yet journaled, straight from the run's
-/// live records and telemetry slots — with the same serializer as
-/// FleetCheckpoint::save, so the bytes are identical to save() of the
-/// loaded journal.
+/// The in-run writer of a checkpoint journal, shared by both engines. A
+/// segment is written in three stages, and only the middle one needs the
+/// checkpoint barrier:
+///
+///  1. encode(): the thread that completed a session serializes its block
+///     (record, events, metrics) once, before the session counts as done;
+///  2. capture(): at the barrier, the segment head (header line and title
+///     states) is serialized and the fresh sessions' blocks are moved out,
+///     in id order; the journal's segment count, length and journaled set
+///     advance here;
+///  3. commit(): after the barrier is released, the trailer is hashed over
+///     head and blocks and all of it is written with positioned vector
+///     writes (no concatenated copy), then fsynced.
+///
+/// The bytes are those FleetCheckpoint::save writes for the loaded journal:
+/// both use the same serializers.
 class CheckpointJournal {
  public:
+  /// A captured segment that commit() has not written yet. Move-only; it
+  /// owns its head and blocks until the commit frees them.
+  class PendingSegment {
+   public:
+    PendingSegment(PendingSegment&&) = default;
+    PendingSegment& operator=(PendingSegment&&) = default;
+
+   private:
+    friend class CheckpointJournal;
+    PendingSegment() = default;
+    std::uint64_t number_ = 0;  ///< 1-based segment number in the file.
+    std::uint64_t offset_ = 0;  ///< Length of the segments before it.
+    std::string head_;
+    std::vector<std::string> blocks_;  ///< Session-id order.
+  };
+
   CheckpointJournal(std::string path, std::size_t num_sessions);
 
   /// Continues the journal a resumed run loaded: its sessions count as
   /// journaled, segment numbers continue after its last segment, and the
-  /// next append first truncates the file to `ck.good_bytes` (dropping any
-  /// torn tail).
+  /// first commit truncates the file to `ck.good_bytes` (dropping any torn
+  /// tail).
   void resume_from(const FleetCheckpoint& ck);
 
-  /// Appends one segment. `head` supplies the header fields and title
-  /// states (its `sessions` are ignored); the segment's sessions are those
-  /// of `done_sids` (any order) not yet journaled, in id order. The first
-  /// segment of a fresh journal replaces any file at the path atomically;
-  /// later ones are appended after the last good segment and fsynced.
-  /// Throws std::system_error on I/O failure.
-  void append(
+  /// Encode: serializes the block of session `rec.session_id`. `events` /
+  /// `metrics` are null when the spec does not collect that stream. Threads
+  /// may encode distinct sessions concurrently; a session must be encoded
+  /// before any capture() that counts it done.
+  void encode(const FleetSessionRecord& rec,
+              const obs::MemoryTraceSink* events,
+              const obs::MetricsRegistry* metrics);
+
+  /// Capture: `head` supplies the header fields and title states (its
+  /// `sessions` are ignored); the segment's sessions are those of
+  /// `done_sids` (any order) not yet journaled, whose encoded blocks move
+  /// into the result. `started` is when the caller began building `head`;
+  /// the time since is this capture's share of the run stats. Needs every
+  /// encoder parked. Throws std::logic_error for a done session that was
+  /// never encoded.
+  [[nodiscard]] PendingSegment capture(
       const FleetCheckpoint::Segment& head,
       const std::vector<std::size_t>& done_sids,
-      const std::vector<FleetSessionRecord>& records,
-      const std::vector<std::unique_ptr<obs::MemoryTraceSink>>& sinks,
-      const std::vector<std::unique_ptr<obs::MetricsRegistry>>& registries);
+      std::chrono::steady_clock::time_point started);
+
+  /// Commit: writes one captured segment. The first segment of a fresh
+  /// journal replaces any file at the path atomically; later ones are
+  /// written after the segments before them (truncating anything beyond)
+  /// and fsynced. Segments must be committed one at a time in capture
+  /// order — the caller's barrier provides that — or std::logic_error.
+  /// Throws std::system_error on I/O failure; the journal then writes
+  /// nothing more, so the file ends with the last segment that committed
+  /// (plus at most a torn tail, which load() drops).
+  void commit(PendingSegment seg);
+
+  /// Segments and bytes this run appended and where their time went.
+  [[nodiscard]] const FleetRunStats& stats() const { return stats_; }
 
  private:
   std::string path_;
   std::vector<std::uint8_t> journaled_;  ///< Per session id.
-  std::uint64_t segments_ = 0;           ///< Segments in the file.
+  std::vector<std::string> blocks_;      ///< Encoded, not yet captured.
+  std::uint64_t segments_ = 0;           ///< Segments captured.
   std::uint64_t bytes_ = 0;              ///< Length of those segments.
+  std::uint64_t committed_ = 0;          ///< Segments committed.
+  bool broken_ = false;                  ///< A commit failed.
+  FleetRunStats stats_;
 };
 
 }  // namespace vbr::fleet

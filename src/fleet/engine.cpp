@@ -434,6 +434,13 @@ class EventEngine {
         ctx_.spec, d, sid, ctx_.arrivals[sid], k, sr, tr.classes, tr.qoe,
         ctx_.qoe_suite, ctx_.experiment_on, ctx_.track_hits[k],
         ctx_.track_total[k]);
+    if (ctx_.journal != nullptr) {
+      // Encoded in the serial completion phase; the checkpoint below only
+      // moves the block.
+      ctx_.journal->encode(
+          rec, ctx_.telemetry_on ? ctx_.sinks[sid].get() : nullptr,
+          ctx_.telemetry_on ? ctx_.registries[sid].get() : nullptr);
+    }
 
     stepper_[sid].reset();
     scheme_[sid].reset();
@@ -516,10 +523,12 @@ class EventEngine {
     }
   }
 
-  /// Journal segment between batches. Completed titles and track/record
-  /// state are live-consistent (mutated only at completion); in-progress
-  /// chained titles serialize their last boundary snapshot.
+  /// Journal segment between batches, captured and committed inline.
+  /// Completed titles and track/record state are live-consistent (mutated
+  /// only at completion); in-progress chained titles serialize their last
+  /// boundary snapshot.
   void save_checkpoint() {
+    const auto started = std::chrono::steady_clock::now();
     FleetCheckpoint::Segment head;
     head.engine = FleetEngine::kEvent;
     head.events_done = events_done_;
@@ -579,8 +588,7 @@ class EventEngine {
         done_sids.push_back(sid);
       }
     }
-    ctx_.journal->append(head, done_sids, ctx_.result.sessions, ctx_.sinks,
-                         ctx_.registries);
+    ctx_.journal->commit(ctx_.journal->capture(head, done_sids, started));
   }
 
   /// Per-title immutable data built lazily at first completion (serial

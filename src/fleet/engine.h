@@ -35,7 +35,9 @@
 // Crash safety. The event engine appends to the same checkpoint journal
 // as the stepper (fleet/checkpoint.h), its segment headers saying "engine
 // event" and carrying events_done: periodic segments fire on event-count
-// barriers between batches, kills at batch boundaries. Chained titles
+// barriers between batches, kills at batch boundaries. Sessions are
+// encoded in the serial completion phase, and each segment is captured and
+// committed inline at its barrier. Chained titles
 // snapshot their shared delivery state at each session completion (a
 // boundary snapshot), because the live shard mid-batch can reflect a
 // half-run session; in-flight sessions are simply re-simulated on resume.

@@ -90,24 +90,47 @@ std::size_t permuted_block_arm(std::uint64_t seed, std::uint32_t stratum,
 ///
 /// Workers call on_session_complete() after every session. When a
 /// checkpoint (or kill) is due, every active worker parks here; the last
-/// arriver — or a worker exiting while the rest are parked — serializes the
-/// shared state and releases everyone. Because all workers sit at session
-/// boundaries during the snapshot, it can never observe a half-run session,
-/// and the mutex hand-off makes each worker's plain writes (done counts,
-/// shard contents, records) visible to the snapshotting thread.
+/// arriver — or a worker exiting while the rest are parked — performs the
+/// barrier. Under the mutex it only *captures* the segment: the title
+/// states plus the session blocks the workers encoded as they completed
+/// their sessions (CheckpointJournal, checkpoint.h). It then releases
+/// everyone and, outside the lock, *commits* the segment to disk while the
+/// others simulate on. Because all workers sit at session boundaries
+/// during the capture, it can never observe a half-run session, and the
+/// mutex hand-off makes each worker's plain writes (done counts, shard
+/// contents, records, blocks) visible to the performer.
+///
+/// Ordering rule: a performer stays counted as active until its commit is
+/// on disk. The next capture needs every active worker parked, so segment
+/// n+1 cannot be captured, let alone committed, before segment n's commit
+/// returned (segment 1's atomic rename precedes segment 2's append). A
+/// worker that performs from worker_exit therefore commits first and
+/// decrements active_ after.
+///
+/// A capture or commit failure stops the fleet and propagates to the
+/// performer's caller, whose worker loop hands it to record_error: a full
+/// disk surfaces as one std::system_error from run_fleet, never as a
+/// deadlocked worker pool or an exception escaping a thread.
 class CheckpointCoordinator {
  public:
-  CheckpointCoordinator(unsigned workers, bool have_path,
+  using Segment = std::optional<CheckpointJournal::PendingSegment>;
+
+  /// `capture_fn` captures one segment at the barrier, given the sessions
+  /// done so far. It runs only with a journal; `journal` is null when no
+  /// checkpoint path is set.
+  CheckpointCoordinator(unsigned workers, CheckpointJournal* journal,
                         std::uint64_t every, std::uint64_t kill_after,
                         std::uint64_t initial_done,
-                        std::function<void(std::uint64_t)> save_fn)
+                        std::function<CheckpointJournal::PendingSegment(
+                            std::uint64_t)>
+                            capture_fn)
       : active_(workers),
-        have_path_(have_path),
+        journal_(journal),
         every_(every),
         kill_after_(kill_after),
         done_(initial_done),
-        save_fn_(std::move(save_fn)) {
-    if (have_path_ && every_ > 0) {
+        capture_fn_(std::move(capture_fn)) {
+    if (journal_ != nullptr && every_ > 0) {
       next_at_ = (done_ / every_ + 1) * every_;
     }
   }
@@ -128,7 +151,7 @@ class CheckpointCoordinator {
       kill_pending_ = true;
     }
     if (kill_pending_ ||
-        (have_path_ && every_ > 0 && done_ >= next_at_)) {
+        (journal_ != nullptr && every_ > 0 && done_ >= next_at_)) {
       request_ = true;
     }
     if (!request_) {
@@ -136,7 +159,9 @@ class CheckpointCoordinator {
     }
     ++paused_;
     if (paused_ == active_) {
-      perform();
+      Segment seg = perform();
+      lk.unlock();
+      commit(std::move(seg));
     } else {
       const std::uint64_t g = gen_;
       cv_.wait(lk, [&] { return gen_ != g; });
@@ -144,26 +169,43 @@ class CheckpointCoordinator {
   }
 
   void worker_exit() {
+    std::exception_ptr error;
     std::unique_lock<std::mutex> lk(mu_);
+    // Still counted active: while every other worker is parked, this one
+    // is the effective last arriver and must perform, or they wait forever.
+    while (request_ && paused_ + 1 == active_) {
+      try {
+        Segment seg = perform();
+        lk.unlock();
+        commit(std::move(seg));
+      } catch (...) {
+        if (!error) {
+          error = std::current_exception();
+        }
+      }
+      if (!lk.owns_lock()) {
+        lk.lock();
+      }
+    }
     --active_;
-    if (request_ && active_ > 0 && paused_ == active_) {
-      // The exiting worker became the effective last arriver: it must run
-      // the snapshot, or the parked workers wait forever.
-      perform();
-    } else if (request_ && active_ == 0) {
+    if (request_ && active_ == 0) {
       release();  // defensive: never strand a waiter
+    }
+    lk.unlock();
+    if (error) {
+      std::rethrow_exception(error);
     }
   }
 
  private:
-  /// Runs the snapshot under the lock, then releases the barrier. On a save
+  /// Captures under the lock, then releases the barrier. On a capture
   /// failure the barrier is still released (and the fleet stopped) before
-  /// the error propagates — a full disk must surface as one clean
-  /// std::system_error from run_fleet, not a deadlocked worker pool.
-  void perform() {
-    if (have_path_) {
+  /// the error propagates.
+  Segment perform() {
+    Segment seg;
+    if (journal_ != nullptr) {
       try {
-        save_fn_(done_);
+        seg = capture_fn_(done_);
       } catch (...) {
         stop_.store(true);
         release();
@@ -180,6 +222,20 @@ class CheckpointCoordinator {
       }
     }
     release();
+    return seg;
+  }
+
+  /// Writes a captured segment, outside the lock.
+  void commit(Segment seg) {
+    if (!seg) {
+      return;
+    }
+    try {
+      journal_->commit(std::move(*seg));
+    } catch (...) {
+      stop_.store(true);
+      throw;
+    }
   }
 
   void release() {
@@ -194,7 +250,7 @@ class CheckpointCoordinator {
   std::condition_variable cv_;
   unsigned active_;
   unsigned paused_ = 0;
-  bool have_path_;
+  CheckpointJournal* journal_;
   std::uint64_t every_;
   std::uint64_t kill_after_;
   std::uint64_t done_;
@@ -204,7 +260,7 @@ class CheckpointCoordinator {
   std::uint64_t gen_ = 0;
   std::atomic<bool> stop_{false};
   std::atomic<bool> killed_{false};
-  std::function<void(std::uint64_t)> save_fn_;
+  std::function<CheckpointJournal::PendingSegment(std::uint64_t)> capture_fn_;
 };
 
 [[nodiscard]] bool file_exists(const std::string& path) {
@@ -874,9 +930,10 @@ FleetResult run_fleet(const FleetSpec& spec) {
                                telemetry_fold};
     detail::run_fleet_event(ectx);
   } else {
-    // Snapshot closure: runs only at the coordinator barrier, when every
+    // Capture closure: runs only at the coordinator barrier, when every
     // worker is parked at a session boundary.
-    auto save_checkpoint = [&](std::uint64_t sessions_done_now) {
+    auto capture_checkpoint = [&](std::uint64_t sessions_done_now) {
+      const auto started = std::chrono::steady_clock::now();
       FleetCheckpoint::Segment head;
       head.engine = FleetEngine::kStepped;
       head.spec_fingerprint = fp;
@@ -927,13 +984,13 @@ FleetResult run_fleet(const FleetSpec& spec) {
         done_sids.insert(done_sids.end(), by_title[k].begin(),
                          by_title[k].begin() + static_cast<std::ptrdiff_t>(dk));
       }
-      journal->append(head, done_sids, result.sessions, sinks, registries);
+      return journal->capture(head, done_sids, started);
     };
 
-    CheckpointCoordinator coord(threads, !spec.checkpoint_path.empty(),
+    CheckpointCoordinator coord(threads, journal ? &*journal : nullptr,
                                 spec.checkpoint_every,
                                 spec.kill.after_sessions, initial_done,
-                                save_checkpoint);
+                                capture_checkpoint);
 
     std::atomic<std::size_t> next{0};
     std::atomic<bool> failed{false};
@@ -1073,6 +1130,14 @@ FleetResult run_fleet(const FleetSpec& spec) {
                 result.sessions[sid] = detail::build_session_record(
                     spec, d, sid, arrivals[sid], k, sr, classes, qoe,
                     qoe_suite, experiment_on, track_hits[k], track_total[k]);
+                if (journal) {
+                  // Encode the session's journal block here, on this
+                  // worker, so the checkpoint barrier only moves it.
+                  journal->encode(
+                      result.sessions[sid],
+                      telemetry_on ? sinks[sid].get() : nullptr,
+                      telemetry_on ? registries[sid].get() : nullptr);
+                }
                 done_in_title[k] = idx + 1;
 
                 if (spec.throttle_us > 0) {
@@ -1104,7 +1169,11 @@ FleetResult run_fleet(const FleetSpec& spec) {
         } catch (...) {
           record_error(std::current_exception());
         }
-        coord.worker_exit();
+        try {
+          coord.worker_exit();
+        } catch (...) {
+          record_error(std::current_exception());
+        }
       });
     }
     for (std::thread& w : workers) {
@@ -1116,6 +1185,10 @@ FleetResult run_fleet(const FleetSpec& spec) {
     if (coord.killed()) {
       throw FleetKilled(coord.sessions_done(), spec.checkpoint_path);
     }
+  }
+
+  if (journal) {
+    result.run_stats = journal->stats();
   }
 
   // Deterministic folds: title order for shard aggregates, session order

@@ -287,6 +287,22 @@ struct FleetSchemeReport {
   std::vector<double> mean_qoe_scores;
 };
 
+/// Where a run's wall time went. NOT deterministic: the numbers depend on
+/// the machine, the disk and the thread schedule. Never written by
+/// write_json and part of no golden; the report bytes do not depend on it.
+struct FleetRunStats {
+  /// Checkpoint segments this run appended (a resumed run counts only its
+  /// own) and their length in bytes.
+  std::uint64_t checkpoint_segments = 0;
+  std::uint64_t checkpoint_bytes = 0;
+  /// Wall seconds spent capturing segments while every worker was parked
+  /// at the checkpoint barrier (title states, moving the session blocks).
+  double checkpoint_capture_s = 0.0;
+  /// Wall seconds spent committing them after the barrier's release
+  /// (trailer hash, write, fsync), while the other workers ran on.
+  double checkpoint_commit_s = 0.0;
+};
+
 /// Complete fleet outcome + report.
 struct FleetResult {
   /// Sessions executed. Always set by run_fleet; under streaming
@@ -336,6 +352,8 @@ struct FleetResult {
   /// Event-engine execution counters (zeros under kStepped). Not written
   /// by write_json — report bytes are engine-invariant.
   FleetEngineStats engine_stats;
+  /// Run stats (see FleetRunStats): zeros without a checkpoint path.
+  FleetRunStats run_stats;
 
   /// Serializes the fleet report (cache + fairness + per-class QoE) as one
   /// JSON object, byte-deterministic (obs json_util writers).

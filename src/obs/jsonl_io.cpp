@@ -17,8 +17,12 @@ namespace vbr::obs {
 std::uint32_t line_checksum(std::string_view payload) {
   // FNV-1a 32: tiny, table-free, and plenty for torn-line detection (this
   // is an integrity check against truncation and bit rot, not an adversary).
-  std::uint32_t h = 0x811c9dc5u;
-  for (const char c : payload) {
+  return line_checksum(payload, 0x811c9dc5u);
+}
+
+std::uint32_t line_checksum(std::string_view more, std::uint32_t prior) {
+  std::uint32_t h = prior;
+  for (const char c : more) {
     h ^= static_cast<unsigned char>(c);
     h *= 0x01000193u;
   }

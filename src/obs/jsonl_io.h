@@ -37,6 +37,11 @@ namespace vbr::obs {
 /// FNV-1a 32-bit checksum of `payload` (the per-line integrity check).
 [[nodiscard]] std::uint32_t line_checksum(std::string_view payload);
 
+/// Continues a checksum over more bytes: line_checksum(b, line_checksum(a))
+/// == line_checksum(a + b), so a payload held in pieces needs no copy.
+[[nodiscard]] std::uint32_t line_checksum(std::string_view more,
+                                          std::uint32_t prior);
+
 /// `payload` + TAB + 8 lowercase hex checksum chars (no trailing newline).
 [[nodiscard]] std::string checksummed_line(std::string_view payload);
 

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -382,22 +381,6 @@ TEST(AbExperiment, AnalysisConfigValidation) {
 
 // ------------------------------------------------------------ report pins --
 
-std::uint64_t fnv1a64(const std::string& bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-std::string hex(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
 enum class Arms { kTwo, kThree };
 
 struct ReportCase {
@@ -478,7 +461,7 @@ std::string run_report_case(const ReportCase& c, ReportCoverage* cov) {
   }
   std::ostringstream out;
   report.write_json(out);
-  return hex(fnv1a64(out.str()));
+  return testutil::fnv1a64_hex(out.str());
 }
 
 TEST(AbExperiment, ReportMatchesPins) {

@@ -12,7 +12,6 @@
 
 #include <charconv>
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -26,27 +25,12 @@
 #include "obs/trace_sink.h"
 #include "sim/live_session.h"
 #include "sim/multi_client.h"
+#include "test_util.h"
 #include "video/dataset.h"
 
 namespace {
 
 using namespace vbr;
-
-std::uint64_t fnv1a64(const std::string& bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-std::string hex(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
 
 /// Canonical byte form of the values a driver produced.
 class Canon {
@@ -105,7 +89,9 @@ class Canon {
     line(reg.deterministic_fingerprint());
   }
 
-  [[nodiscard]] std::string digest() const { return hex(fnv1a64(out_)); }
+  [[nodiscard]] std::string digest() const {
+    return testutil::fnv1a64_hex(out_);
+  }
 
  private:
   std::string out_;

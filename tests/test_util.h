@@ -2,6 +2,8 @@
 // chunk sizes, flat traces, and convenience wrappers.
 #pragma once
 
+#include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -100,6 +102,20 @@ struct LabeledMaker {
 
 inline void PrintTo(const LabeledMaker& m, std::ostream* os) {
   *os << m.label;
+}
+
+/// FNV-1a-64 of `bytes` as 16 lowercase hex digits: the digest the byte
+/// pins (session goldens, A/B reports, checkpoint journals) compare.
+inline std::string fnv1a64_hex(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
 }
 
 }  // namespace vbr::testutil
