@@ -17,11 +17,14 @@
 //                  only catches a regression back to enumeration)
 //   --out FILE     report path (default BENCH_PERF.json)
 //
-// Timing methodology: one steady_clock read per scheme around a loop of
+// Timing methodology: one steady_clock read per pass around a loop of
 // decide() calls over a deterministic sweep of contexts (chunk index,
 // buffer level, and previous track all vary), so the measured mix includes
 // early-chunk, mid-stream, and deep-buffer decisions rather than one
-// flattering point. The context sweep is identical for every scheme.
+// flattering point. The context sweep is identical for every scheme. Each
+// scheme runs 5 passes (reset, warm-up, timed loop) and reports the
+// fastest: one pass slowed by other work on the machine no longer fails a
+// ceiling on its own, while a slower decide() slows every pass.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -112,27 +115,37 @@ struct Measured {
   std::uint64_t track_checksum = 0;  ///< Defeats dead-code elimination.
 };
 
+/// Timed passes per scheme; the reported figure is the fastest one.
+constexpr int kTimedPasses = 5;
+
 Measured measure_scheme(abr::AbrScheme& scheme, std::size_t iters,
                         ContextSweep sweep = sweep_context) {
-  scheme.reset();
-  // Warm-up pass: fault in code/data and let RobustMPC variants build an
-  // error window, so the timed loop measures steady state.
-  for (std::size_t i = 0; i < 16; ++i) {
-    const abr::StreamContext ctx = sweep(i);
-    (void)scheme.decide(ctx);
-    scheme.on_chunk_downloaded(ctx, 2, 0.8);
-  }
   Measured m;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < iters; ++i) {
-    m.track_checksum += scheme.decide(sweep(i)).track;
+  for (int pass = 0; pass < kTimedPasses; ++pass) {
+    scheme.reset();
+    // Warm-up pass: fault in code/data and let RobustMPC variants build an
+    // error window, so the timed loop measures steady state.
+    for (std::size_t i = 0; i < 16; ++i) {
+      const abr::StreamContext ctx = sweep(i);
+      (void)scheme.decide(ctx);
+      scheme.on_chunk_downloaded(ctx, 2, 0.8);
+    }
+    std::uint64_t checksum = 0;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < iters; ++i) {
+      checksum += scheme.decide(sweep(i)).track;
+    }
+    const auto t1 = std::chrono::steady_clock::now();
+    const double ns =
+        static_cast<double>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+                .count()) /
+        static_cast<double>(iters);
+    // Every pass replays the same decisions from the same reset state, so
+    // the checksum is the same each time.
+    m.track_checksum = checksum;
+    m.ns_per_decision = pass == 0 ? ns : std::min(m.ns_per_decision, ns);
   }
-  const auto t1 = std::chrono::steady_clock::now();
-  m.ns_per_decision =
-      static_cast<double>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-              .count()) /
-      static_cast<double>(iters);
   return m;
 }
 

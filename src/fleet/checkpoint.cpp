@@ -823,8 +823,7 @@ void put_session(std::string& s, const FleetSessionRecord& rec,
     for (const obs::DecisionEvent& ev : *events) {
       // Each event rides as a checksummed canonical JSONL line — the same
       // torn/corrupt detection as the durable trace sinks.
-      s += obs::checksummed_line(obs::to_jsonl(ev));
-      s += '\n';
+      obs::append_checksummed_jsonl(s, ev, ev.seq);
     }
   }
   s += "metrics ";

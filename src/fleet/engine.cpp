@@ -464,7 +464,7 @@ class EventEngine {
       drain_.put(sid, std::move(item));
       while (auto ready = drain_.pop()) {
         ctx_.fold.add(ctx_.result, ready->record);
-        ctx_.telemetry_fold.add(ready->sink.get(), ready->registry.get());
+        ctx_.telemetry_fold.add(ready->sink, ready->registry.get());
       }
     } else {
       ctx_.result.sessions[sid] = std::move(rec);

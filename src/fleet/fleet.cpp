@@ -22,6 +22,7 @@
 #include "fleet/fleet_internal.h"
 #include "fleet/rng.h"
 #include "metrics/qoe_model.h"
+#include "obs/fold.h"
 #include "obs/json_util.h"
 
 namespace vbr::fleet {
@@ -378,17 +379,32 @@ double SessionFold::jain(std::uint64_t n, double sum, double sum_sq) {
   return (sum * sum) / (static_cast<double>(n) * sum_sq);
 }
 
-void TelemetryFold::add(const obs::MemoryTraceSink* sink,
+void TelemetryFold::add(std::unique_ptr<obs::MemoryTraceSink>& sink,
                         const obs::MetricsRegistry* registry) {
-  if (trace != nullptr && sink != nullptr) {
-    for (const obs::DecisionEvent& ev : sink->events()) {
-      obs::DecisionEvent merged = ev;
-      merged.seq = global_seq++;
-      trace->on_decision(merged);
-    }
+  if (trace != nullptr && sink) {
+    const auto started = std::chrono::steady_clock::now();
+    global_seq = obs::fold_traces(std::span(&sink, 1), *trace, 1, global_seq);
+    trace_s += std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - started)
+                   .count();
   }
   if (metrics != nullptr && registry != nullptr) {
     metrics->merge(*registry);
+  }
+}
+
+void TelemetryFold::add_all(
+    std::vector<std::unique_ptr<obs::MemoryTraceSink>>& sinks,
+    const std::vector<std::unique_ptr<obs::MetricsRegistry>>& registries) {
+  if (metrics != nullptr) {
+    for (const std::unique_ptr<obs::MetricsRegistry>& r : registries) {
+      if (r) {
+        metrics->merge(*r);
+      }
+    }
+  }
+  if (trace != nullptr) {
+    global_seq = obs::fold_traces(sinks, *trace, threads, global_seq);
   }
 }
 
@@ -888,8 +904,11 @@ FleetResult run_fleet(const FleetSpec& spec) {
   // path feeds them after the workers join; the streaming event engine
   // feeds them while it runs (through the session-id reorder drain).
   detail::SessionFold fold;
-  detail::TelemetryFold telemetry_fold{spec.trace, spec.metrics};
+  detail::TelemetryFold telemetry_fold{spec.trace, spec.metrics, threads};
 
+  // When the sessions are done: FleetRunStats::telemetry_fold_s counts
+  // from here.
+  std::chrono::steady_clock::time_point joined;
   if (spec.engine == FleetEngine::kEvent) {
     // Shared-virtual-time event engine (engine.cpp): same setup, same
     // finalize, different execution. It leaves done_in_title / shards /
@@ -929,6 +948,7 @@ FleetResult run_fleet(const FleetSpec& spec) {
                                fold,
                                telemetry_fold};
     detail::run_fleet_event(ectx);
+    joined = std::chrono::steady_clock::now();
   } else {
     // Capture closure: runs only at the coordinator barrier, when every
     // worker is parked at a session boundary.
@@ -1179,6 +1199,7 @@ FleetResult run_fleet(const FleetSpec& spec) {
     for (std::thread& w : workers) {
       w.join();
     }
+    joined = std::chrono::steady_clock::now();
     if (first_error) {
       std::rethrow_exception(first_error);
     }
@@ -1276,9 +1297,15 @@ FleetResult run_fleet(const FleetSpec& spec) {
   // the same merged-stream discipline as run_experiment. Streaming runs
   // already folded per session as the drain released it.
   if (!spec.stream_aggregation && telemetry_on) {
-    for (std::size_t sid = 0; sid < n; ++sid) {
-      telemetry_fold.add(sinks[sid].get(), registries[sid].get());
-    }
+    telemetry_fold.add_all(sinks, registries);
+  }
+  if (spec.trace != nullptr) {
+    result.run_stats.telemetry_fold_s =
+        spec.stream_aggregation
+            ? telemetry_fold.trace_s
+            : std::chrono::duration<double>(
+                  std::chrono::steady_clock::now() - joined)
+                  .count();
   }
   telemetry_fold.finish();
   if (spec.metrics != nullptr) {

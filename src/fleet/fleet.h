@@ -301,6 +301,10 @@ struct FleetRunStats {
   /// Wall seconds spent committing them after the barrier's release
   /// (trailer hash, write, fsync), while the other workers ran on.
   double checkpoint_commit_s = 0.0;
+  /// Wall seconds from the end of the sessions (the worker join) to the
+  /// last write of the JSONL telemetry fold; under streaming aggregation,
+  /// the seconds the drain spent writing the trace. 0 without a trace sink.
+  double telemetry_fold_s = 0.0;
 };
 
 /// Complete fleet outcome + report.
@@ -352,7 +356,8 @@ struct FleetResult {
   /// Event-engine execution counters (zeros under kStepped). Not written
   /// by write_json — report bytes are engine-invariant.
   FleetEngineStats engine_stats;
-  /// Run stats (see FleetRunStats): zeros without a checkpoint path.
+  /// Run stats (see FleetRunStats): the checkpoint fields are zeros
+  /// without a checkpoint path, telemetry_fold_s without a trace sink.
   FleetRunStats run_stats;
 
   /// Serializes the fleet report (cache + fairness + per-class QoE) as one

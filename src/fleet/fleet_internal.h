@@ -78,20 +78,27 @@ struct SessionFold {
                                    double sum_sq);
 };
 
-/// Streaming telemetry fold: per-session sinks re-sequenced onto one
-/// monotone global stream, registries merged, in session-id order.
-/// Interleaving one session's events with its metrics merge (the streaming
-/// drain's order) is byte-identical to the historical all-events-then-all-
-/// metrics passes: each destination sees its own additions in the same
-/// order either way.
+/// Telemetry fold: per-session sinks written onto one monotone global
+/// stream through obs::fold_traces, registries merged, in session-id order.
+/// The streaming drain folds one session at a time (add); every other path
+/// folds all sessions after the join (add_all). Each destination sees its
+/// own additions in the same order either way, so the bytes are the same.
 struct TelemetryFold {
   obs::TraceSink* trace = nullptr;         ///< Optional destination.
   obs::MetricsRegistry* metrics = nullptr; ///< Optional destination.
+  unsigned threads = 1;                    ///< Encoders for add_all.
   std::uint64_t global_seq = 0;
+  /// Wall seconds spent writing the trace (FleetRunStats::telemetry_fold_s
+  /// of the streaming drain).
+  double trace_s = 0.0;
 
-  /// Folds one session's telemetry (either pointer may be null).
-  void add(const obs::MemoryTraceSink* sink,
+  /// Folds one session's telemetry (either may be null) on this thread.
+  void add(std::unique_ptr<obs::MemoryTraceSink>& sink,
            const obs::MetricsRegistry* registry);
+  /// Folds every session: the registries, then the traces on `threads`.
+  void add_all(std::vector<std::unique_ptr<obs::MemoryTraceSink>>& sinks,
+               const std::vector<std::unique_ptr<obs::MetricsRegistry>>&
+                   registries);
   /// Flushes the trace destination (call once, after the last add).
   void finish();
 };

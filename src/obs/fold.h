@@ -9,17 +9,43 @@
 // their session id in any completion order, and pop() releases them in
 // strict ascending id order. The fold downstream of the drain therefore
 // sees exactly the order the materializing path would have used.
+//
+// fold_traces is the telemetry half of that discipline: it writes the
+// per-session event streams to one destination sink in session order, with
+// one monotone global seq.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
+#include "obs/trace_sink.h"
+
 namespace vbr::obs {
+
+/// Writes the events of `sinks` to `dest` in index order (null entries
+/// hold no events), renumbering seq from `first_seq`, and resets each sink
+/// once its events are out. Returns the seq after the last event.
+///
+/// A sink that encodes (TraceSink::encode) gets bytes: session i's first
+/// seq is first_seq plus the events of sessions below i, so every session
+/// is encoded on its own — by min(threads, batches) encoder threads when
+/// threads > 1, each claiming contiguous batches of sessions (a few hundred
+/// KiB of output; at most 2 * threads batches in flight) — while the
+/// calling thread writes the finished batches strictly in order through
+/// write_encoded. The bytes are the same at any thread count. With one
+/// thread the same loop runs inline. A sink that does not encode gets each
+/// event, renumbered, through on_decision. Encoder threads are joined
+/// before any exception leaves.
+std::uint64_t fold_traces(std::span<std::unique_ptr<MemoryTraceSink>> sinks,
+                          TraceSink& dest, unsigned threads,
+                          std::uint64_t first_seq = 0);
 
 /// Reorder buffer keyed by a dense ascending sequence (e.g. session id).
 /// put() accepts keys in any order; pop() yields items in strict key

@@ -32,6 +32,8 @@ std::uint32_t line_checksum(std::string_view more, std::uint32_t prior) {
 namespace {
 
 constexpr char kSep = '\t';
+/// The durable sink writes once this many bytes are buffered.
+constexpr std::size_t kBufferBytes = std::size_t{1} << 16;
 
 void append_hex8(std::string& out, std::uint32_t v) {
   static const char* digits = "0123456789abcdef";
@@ -49,6 +51,17 @@ std::string checksummed_line(std::string_view payload) {
   out += kSep;
   append_hex8(out, line_checksum(payload));
   return out;
+}
+
+void append_checksummed_jsonl(std::string& out, const DecisionEvent& event,
+                              std::uint64_t seq) {
+  const std::size_t start = out.size();
+  append_jsonl(out, event, seq);
+  const std::uint32_t sum =
+      line_checksum(std::string_view(out).substr(start));
+  out += kSep;
+  append_hex8(out, sum);
+  out += '\n';
 }
 
 bool verify_checksummed_line(std::string_view line,
@@ -411,7 +424,7 @@ DurableJsonlTraceSink::DurableJsonlTraceSink(const std::string& path)
                             "DurableJsonlTraceSink: cannot open '" + path +
                                 "'");
   }
-  buffer_.reserve(1 << 16);
+  buffer_.reserve(kBufferBytes);
 }
 
 DurableJsonlTraceSink::~DurableJsonlTraceSink() {
@@ -441,21 +454,42 @@ void DurableJsonlTraceSink::write_all(const char* data, std::size_t len) {
   }
 }
 
-void DurableJsonlTraceSink::on_decision(const DecisionEvent& event) {
-  buffer_ += checksummed_line(to_jsonl(event));
-  buffer_ += '\n';
-  ++lines_;
-  if (buffer_.size() >= (1u << 16)) {
+void DurableJsonlTraceSink::drain() {
+  if (!buffer_.empty()) {
     write_all(buffer_.data(), buffer_.size());
     buffer_.clear();
   }
 }
 
-void DurableJsonlTraceSink::flush() {
-  if (!buffer_.empty()) {
-    write_all(buffer_.data(), buffer_.size());
-    buffer_.clear();
+void DurableJsonlTraceSink::on_decision(const DecisionEvent& event) {
+  line_.clear();
+  encode(event, event.seq, line_);
+  write_encoded(line_, 1);
+}
+
+bool DurableJsonlTraceSink::encode(const DecisionEvent& event,
+                                   std::uint64_t seq,
+                                   std::string& out) const {
+  append_checksummed_jsonl(out, event, seq);
+  return true;
+}
+
+void DurableJsonlTraceSink::write_encoded(std::string_view bytes,
+                                          std::uint64_t events) {
+  lines_ += events;
+  if (bytes.size() >= kBufferBytes) {
+    drain();
+    write_all(bytes.data(), bytes.size());
+    return;
   }
+  buffer_.append(bytes);
+  if (buffer_.size() >= kBufferBytes) {
+    drain();
+  }
+}
+
+void DurableJsonlTraceSink::flush() {
+  drain();
   if (::fsync(fd_) != 0) {
     throw std::system_error(errno, std::generic_category(),
                             "DurableJsonlTraceSink: fsync failed on '" +

@@ -45,6 +45,11 @@ namespace vbr::obs {
 /// `payload` + TAB + 8 lowercase hex checksum chars (no trailing newline).
 [[nodiscard]] std::string checksummed_line(std::string_view payload);
 
+/// Appends the checksummed line of `event` with its seq replaced by `seq`,
+/// plus '\n': checksummed_line(append_jsonl(...)) without the copies.
+void append_checksummed_jsonl(std::string& out, const DecisionEvent& event,
+                              std::uint64_t seq);
+
 /// Splits a checksummed line and verifies it. Returns true and sets
 /// `payload` on success; false on a missing separator, malformed checksum
 /// field, or mismatch.
@@ -101,15 +106,23 @@ class DurableJsonlTraceSink final : public TraceSink {
 
   void on_decision(const DecisionEvent& event) override;
   void flush() override;  ///< Drains the buffer and fsyncs.
+  /// The append_checksummed_jsonl line.
+  bool encode(const DecisionEvent& event, std::uint64_t seq,
+              std::string& out) const override;
+  /// Buffers short writes; a write of at least the buffer size goes to the
+  /// file at once, after whatever is buffered.
+  void write_encoded(std::string_view bytes, std::uint64_t events) override;
 
   [[nodiscard]] std::uint64_t lines_written() const { return lines_; }
 
  private:
   void write_all(const char* data, std::size_t len);
+  void drain();
 
   int fd_ = -1;
   std::string path_;
   std::string buffer_;  ///< Batches lines between flushes.
+  std::string line_;    ///< on_decision's encode buffer, reused.
   std::uint64_t lines_ = 0;
 };
 

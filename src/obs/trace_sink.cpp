@@ -1,11 +1,22 @@
 #include "obs/trace_sink.h"
 
 #include <cerrno>
+#include <stdexcept>
 #include <system_error>
 
 #include "obs/json_util.h"
 
 namespace vbr::obs {
+
+bool TraceSink::encode(const DecisionEvent&, std::uint64_t,
+                       std::string&) const {
+  return false;
+}
+
+void TraceSink::write_encoded(std::string_view, std::uint64_t) {
+  throw std::logic_error(
+      "TraceSink::write_encoded: this sink does not encode");
+}
 
 void MemoryTraceSink::on_decision(const DecisionEvent& event) {
   ++received_;
@@ -20,17 +31,15 @@ void MemoryTraceSink::clear() {
   received_ = 0;
 }
 
-std::string to_jsonl(const DecisionEvent& e) {
+void append_jsonl(std::string& s, const DecisionEvent& e, std::uint64_t seq) {
   using detail::append_double;
   using detail::append_json_string;
   using detail::append_uint;
 
-  std::string s;
-  s.reserve(384);
   s += "{\"session\":";
   append_uint(s, e.session_id);
   s += ",\"seq\":";
-  append_uint(s, e.seq);
+  append_uint(s, seq);
   s += ",\"chunk\":";
   append_uint(s, e.chunk_index);
   s += ",\"t_decide\":";
@@ -135,6 +144,12 @@ std::string to_jsonl(const DecisionEvent& e) {
     s += "}";
   }
   s += "}";
+}
+
+std::string to_jsonl(const DecisionEvent& event) {
+  std::string s;
+  s.reserve(768);
+  append_jsonl(s, event, event.seq);
   return s;
 }
 
@@ -152,8 +167,22 @@ JsonlTraceSink::JsonlTraceSink(const std::string& path) {
 }
 
 void JsonlTraceSink::on_decision(const DecisionEvent& event) {
-  *out_ << to_jsonl(event) << '\n';
-  ++lines_;
+  line_.clear();
+  encode(event, event.seq, line_);
+  write_encoded(line_, 1);
+}
+
+bool JsonlTraceSink::encode(const DecisionEvent& event, std::uint64_t seq,
+                            std::string& out) const {
+  append_jsonl(out, event, seq);
+  out += '\n';
+  return true;
+}
+
+void JsonlTraceSink::write_encoded(std::string_view bytes,
+                                   std::uint64_t events) {
+  out_->write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  lines_ += events;
 }
 
 void JsonlTraceSink::flush() { out_->flush(); }

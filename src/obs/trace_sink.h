@@ -15,15 +15,19 @@
 //                       non-null sink.
 //
 // Sinks are NOT thread-safe by design: each concurrent session owns its own
-// sink and the harness merges afterwards in a stable order (see
-// sim::run_experiment).
+// sink and the harness merges afterwards in a stable order (obs::fold_traces
+// in obs/fold.h). A byte sink also exposes its encoder (encode, const and
+// safe to call concurrently) and a raw writer (write_encoded), so the fold
+// can encode sessions on several threads and write their bytes in order.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <fstream>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/event.h"
@@ -35,6 +39,18 @@ class TraceSink {
   virtual ~TraceSink() = default;
   virtual void on_decision(const DecisionEvent& event) = 0;
   virtual void flush() {}
+
+  /// Appends to `out` exactly the bytes on_decision would write for `event`
+  /// with its seq replaced by `seq`, and returns true. Const and safe to
+  /// call from several threads at once. The default appends nothing and
+  /// returns false: the sink keeps events, so it is fed through
+  /// on_decision.
+  virtual bool encode(const DecisionEvent& event, std::uint64_t seq,
+                      std::string& out) const;
+  /// Writes `bytes` produced by encode(), holding `events` events. Only
+  /// called on a sink whose encode() returns true; the default throws
+  /// std::logic_error.
+  virtual void write_encoded(std::string_view bytes, std::uint64_t events);
 };
 
 /// Discards everything (explicit-object variant of the null sink).
@@ -64,9 +80,14 @@ class MemoryTraceSink final : public TraceSink {
   std::deque<DecisionEvent> events_;
 };
 
-/// Serializes one event as a canonical single-line JSON object (no trailing
-/// newline). Field order is fixed; doubles use std::to_chars shortest
-/// round-trip form, so equal event streams serialize byte-identically.
+/// Appends `event` as a canonical single-line JSON object, with its seq
+/// replaced by `seq` (no trailing newline). Field order is fixed; doubles
+/// use std::to_chars shortest round-trip form, so equal event streams
+/// serialize byte-identically.
+void append_jsonl(std::string& out, const DecisionEvent& event,
+                  std::uint64_t seq);
+
+/// append_jsonl of `event` (its own seq) into a fresh string.
 [[nodiscard]] std::string to_jsonl(const DecisionEvent& event);
 
 /// Writes each event as one JSONL line.
@@ -80,6 +101,10 @@ class JsonlTraceSink final : public TraceSink {
 
   void on_decision(const DecisionEvent& event) override;
   void flush() override;
+  /// The append_jsonl line plus '\n'.
+  bool encode(const DecisionEvent& event, std::uint64_t seq,
+              std::string& out) const override;
+  void write_encoded(std::string_view bytes, std::uint64_t events) override;
 
   [[nodiscard]] std::uint64_t lines_written() const { return lines_; }
 
@@ -87,6 +112,7 @@ class JsonlTraceSink final : public TraceSink {
   std::ofstream owned_;
   std::ostream* out_ = nullptr;
   std::uint64_t lines_ = 0;
+  std::string line_;  ///< on_decision's encode buffer, reused.
 };
 
 }  // namespace vbr::obs

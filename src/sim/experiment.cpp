@@ -6,6 +6,7 @@
 
 #include "core/complexity_classifier.h"
 #include "metrics/stats.h"
+#include "obs/fold.h"
 
 namespace vbr::sim {
 
@@ -208,17 +209,7 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
   // Stable-order telemetry fold: trace index, never worker id. Events are
   // re-sequenced globally so the merged stream has one monotone `seq`.
   if (spec.trace != nullptr) {
-    std::uint64_t global_seq = 0;
-    for (const std::unique_ptr<obs::MemoryTraceSink>& sink : trace_sinks) {
-      if (!sink) {
-        continue;
-      }
-      for (const obs::DecisionEvent& ev : sink->events()) {
-        obs::DecisionEvent merged = ev;
-        merged.seq = global_seq++;
-        spec.trace->on_decision(merged);
-      }
-    }
+    (void)obs::fold_traces(trace_sinks, *spec.trace, threads);
     spec.trace->flush();
   }
   if (spec.metrics != nullptr) {
