@@ -7,16 +7,19 @@
 // single-session harness cannot: do CAVA clients share fairly with each
 // other and with other schemes?
 //
-// Each client is a SessionStepper (sim/stepper.h) that this driver moves
-// through its sub-steps on one shared clock, so startup, buffer cap,
-// decision validation, watchdog budgets (the sim-time budget counts from
-// the client's start_offset_s) and telemetry are run_session's. The
-// transfer differs: bytes arrive as a fluid fair share, the loop advances
-// in trace-sample steps, and waits under 1e-7 s are float residue it
-// ignores. So a single client picks the same tracks as run_session with
-// download times within 1e-3 s, rebuffering within 1e-2 s and total bits
-// within 1 bit (MultiClient.SingleClientMatchesRunSession), not byte for
-// byte.
+// Each client is a SessionStepper (sim/stepper.h) on the shared-link rate
+// source: the stepper runs run_session's whole fetch ladder (decision,
+// scheme wait, room gate, RTT lead, fault outcomes, resume or waste,
+// downgrade, backoff, skip, stall attribution), and this driver keeps only
+// the fluid scheduler: per-client share, next wake time, trace-sample
+// boundaries, and each client's elapse. The watchdog's sim-time budget
+// counts from the client's start_offset_s; each client draws faults from
+// its own stream (its index). A single client therefore matches
+// run_session in every track, attempt, per-kind failure count, downgrade,
+// skip, backoff wait and wasted bit. Its times are fluid float sums, and a
+// wake within 1e-7 s counts as reached, so download times match within
+// 1e-3 s, per-chunk and total stalls within 1e-2 s and total bits within
+// 1 bit (MultiClient.SingleClientMatchesRunSession), not byte for byte.
 #pragma once
 
 #include <memory>

@@ -22,34 +22,24 @@ void RetryPolicy::validate() const {
   }
 }
 
-FailedAttempt charge_failed_attempt(const net::Trace& trace,
-                                    const net::FaultOutcome& outcome,
-                                    const net::FaultConfig& fault,
-                                    const RetryPolicy& policy, double t,
-                                    double request_rtt_s, double bits_needed,
-                                    double rate_scale) {
-  FailedAttempt out;
+double failed_attempt_delay_s(const net::FaultOutcome& outcome,
+                              const net::FaultConfig& fault,
+                              const RetryPolicy& policy,
+                              double request_rtt_s) {
   switch (outcome.kind) {
     case net::FaultKind::kConnectFail:
-      out.elapsed_s = fault.connect_fail_delay_s;
-      break;
+      return fault.connect_fail_delay_s;
     case net::FaultKind::kTimeout:
       // The server stalls; the player aborts after its own timeout when it
       // has one, otherwise it sits out the full server stall.
-      out.elapsed_s = request_rtt_s + (policy.request_timeout_s > 0.0
-                                           ? policy.request_timeout_s
-                                           : fault.timeout_s);
-      break;
+      return request_rtt_s + (policy.request_timeout_s > 0.0
+                                  ? policy.request_timeout_s
+                                  : fault.timeout_s);
     case net::FaultKind::kMidDrop:
-      out.delivered_bits = outcome.drop_fraction * bits_needed;
-      out.elapsed_s = request_rtt_s +
-                      trace.download_duration_s(t + request_rtt_s,
-                                                out.delivered_bits / rate_scale);
-      break;
     case net::FaultKind::kNone:
-      throw std::logic_error("charge_failed_attempt: attempt did not fail");
+      break;
   }
-  return out;
+  throw std::logic_error("failed_attempt_delay_s: attempt moved bytes");
 }
 
 double backoff_delay_s(const RetryPolicy& policy, const net::FaultModel& model,

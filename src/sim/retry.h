@@ -1,12 +1,11 @@
 // Retry policy and failed-attempt accounting for fault-injected sessions.
 //
-// Graceful-degradation semantics (shared by SessionStepper's fetch ladder,
-// which VoD and live sessions run, and run_multi_client's fair-share
-// transfer):
+// Graceful-degradation semantics of SessionStepper's fetch ladder, the one
+// ladder that VoD, live, fleet and multi-client sessions all run:
 //   - every failed attempt consumes wall-clock time exactly as a player
 //     would experience it (connect delay, partial transfer, or timeout);
 //     the buffer drains in real time throughout, and stalls are charged to
-//     rebuffering;
+//     rebuffering and to the open chunk;
 //   - bytes of a dropped transfer are wasted (counted in data usage, like
 //     abandonment) unless byte-range resume is enabled, in which case they
 //     carry over into the next attempt;
@@ -20,7 +19,6 @@
 #include <cstddef>
 
 #include "net/fault_model.h"
-#include "net/trace.h"
 
 namespace vbr::sim {
 
@@ -48,21 +46,14 @@ struct RetryPolicy {
   void validate() const;
 };
 
-/// Time and bytes consumed by one failed download attempt starting at
-/// wall-clock `t`.
-struct FailedAttempt {
-  double elapsed_s = 0.0;       ///< Wall-clock time the failure burned.
-  double delivered_bits = 0.0;  ///< Bytes transferred before the failure.
-};
-
-/// Accounts a failed attempt of `bits_needed` bits. `outcome.kind` must not
-/// be kNone. `rate_scale` is the delivery path's bandwidth fraction (see
-/// sim::FetchPlan): it stretches the transfer time of a mid-drop's partial
-/// bytes without changing the bytes themselves.
-[[nodiscard]] FailedAttempt charge_failed_attempt(
-    const net::Trace& trace, const net::FaultOutcome& outcome,
-    const net::FaultConfig& fault, const RetryPolicy& policy, double t,
-    double request_rtt_s, double bits_needed, double rate_scale = 1.0);
+/// Wall-clock time burned by a failed attempt that moves no bytes (a
+/// connect failure or a timeout; `outcome.kind` must be one of them), with
+/// `request_rtt_s` of first-byte lead. A mid-transfer drop moves bytes, so
+/// the ladder's rate source times it like any transfer.
+[[nodiscard]] double failed_attempt_delay_s(const net::FaultOutcome& outcome,
+                                            const net::FaultConfig& fault,
+                                            const RetryPolicy& policy,
+                                            double request_rtt_s);
 
 /// Deterministic backoff delay before retry number `retry_index` (0-based)
 /// of chunk `chunk_index`.

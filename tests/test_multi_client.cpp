@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "core/cava.h"
+#include "metrics/report.h"
 #include "net/bandwidth_estimator.h"
 #include "net/trace_gen.h"
 #include "test_util.h"
@@ -110,31 +112,100 @@ TEST(MultiClient, WatchdogAbortedClientLeavesTheFairShare) {
 }
 
 TEST(MultiClient, SingleClientMatchesRunSession) {
-  // The anchor: with one client, the shared-bottleneck event loop must
-  // reproduce run_session decision-for-decision.
+  // The anchor: with one client, the shared link runs the same fetch ladder
+  // as run_session, so every decision, attempt and failure matches exactly;
+  // only the fluid transfer's times carry the documented tolerances.
   const video::Video v = video::make_video(
       "eq", video::Genre::kAnimation, video::Codec::kH264, 2.0, 2.0, 42,
       200.0);
   const net::Trace t = net::generate_lte_trace(5);
 
-  core::Cava cava;
+  for (const bool faults : {false, true}) {
+    for (const double rtt : {0.0, 0.05}) {
+      SCOPED_TRACE(std::string(faults ? "faults" : "clean") + " rtt " +
+                   std::to_string(rtt));
+      sim::SessionConfig cfg;
+      cfg.request_rtt_s = rtt;
+      if (faults) {
+        cfg.fault.connect_failure_prob = 0.1;
+        cfg.fault.mid_drop_prob = 0.15;
+        cfg.fault.timeout_prob = 0.05;
+        cfg.fault.seed = 11;
+        cfg.retry.resume_partial = true;
+        cfg.retry.downgrade_on_failure = true;
+      }
+      core::Cava cava;
+      net::HarmonicMeanEstimator est(5);
+      const sim::SessionResult single =
+          sim::run_session(v, t, cava, est, cfg);
+
+      std::vector<sim::ClientSpec> clients;
+      clients.push_back(make_client(v));
+      const sim::MultiClientResult multi =
+          sim::run_multi_client(t, std::move(clients), cfg);
+
+      ASSERT_EQ(multi.sessions.size(), 1u);
+      const sim::SessionResult& m = multi.sessions[0];
+      ASSERT_EQ(m.chunks.size(), single.chunks.size());
+      for (std::size_t i = 0; i < m.chunks.size(); ++i) {
+        SCOPED_TRACE("chunk " + std::to_string(i));
+        const sim::ChunkRecord& a = m.chunks[i];
+        const sim::ChunkRecord& b = single.chunks[i];
+        EXPECT_EQ(a.track, b.track);
+        EXPECT_EQ(a.attempts, b.attempts);
+        EXPECT_EQ(a.connect_failures, b.connect_failures);
+        EXPECT_EQ(a.mid_drops, b.mid_drops);
+        EXPECT_EQ(a.timeouts, b.timeouts);
+        EXPECT_EQ(a.downgraded, b.downgraded);
+        EXPECT_EQ(a.skipped, b.skipped);
+        EXPECT_EQ(a.backoff_wait_s, b.backoff_wait_s);
+        EXPECT_EQ(a.wasted_bits, b.wasted_bits);
+        EXPECT_NEAR(a.download_s, b.download_s, 1e-3);
+        EXPECT_NEAR(a.stall_s, b.stall_s, 1e-2);
+      }
+      EXPECT_NEAR(m.total_rebuffer_s, single.total_rebuffer_s, 1e-2);
+      EXPECT_NEAR(m.total_bits, single.total_bits, 1.0);
+      if (faults) {
+        const metrics::FaultSummary fs = m.fault_summary();
+        EXPECT_GT(fs.downgraded, 0u);
+        EXPECT_GT(fs.resumed_mb, 0.0);
+      }
+    }
+  }
+}
+
+TEST(MultiClient, SingleClientStallAttributionMatchesRunSession) {
+  // Regression: RTT and connect-fail / timeout delays are time in transfer,
+  // so they count toward the open chunk's stall_s under both drivers; the
+  // QoE models read per-chunk stall_s.
+  const video::Video v = testutil::default_flat_video(60);
+  const net::Trace t = flat_trace(4e6);
+  sim::SessionConfig cfg;
+  cfg.request_rtt_s = 0.05;
+  cfg.fault.connect_failure_prob = 0.2;
+  cfg.fault.timeout_prob = 0.1;
+
+  abr::FixedTrackScheme top(5);
   net::HarmonicMeanEstimator est(5);
-  const sim::SessionResult single = sim::run_session(v, t, cava, est);
+  const sim::SessionResult single = sim::run_session(v, t, top, est, cfg);
 
   std::vector<sim::ClientSpec> clients;
   clients.push_back(make_client(v));
+  clients[0].scheme = std::make_unique<abr::FixedTrackScheme>(5);
   const sim::MultiClientResult multi =
-      sim::run_multi_client(t, std::move(clients));
+      sim::run_multi_client(t, std::move(clients), cfg);
 
-  ASSERT_EQ(multi.sessions.size(), 1u);
+  const auto chunk_stall = [](const sim::SessionResult& r) {
+    double s = 0.0;
+    for (const sim::ChunkRecord& c : r.chunks) {
+      s += c.stall_s;
+    }
+    return s;
+  };
   const sim::SessionResult& m = multi.sessions[0];
-  ASSERT_EQ(m.chunks.size(), single.chunks.size());
-  for (std::size_t i = 0; i < m.chunks.size(); ++i) {
-    EXPECT_EQ(m.chunks[i].track, single.chunks[i].track) << "chunk " << i;
-    EXPECT_NEAR(m.chunks[i].download_s, single.chunks[i].download_s, 1e-3);
-  }
   EXPECT_NEAR(m.total_rebuffer_s, single.total_rebuffer_s, 1e-2);
-  EXPECT_NEAR(m.total_bits, single.total_bits, 1.0);
+  EXPECT_GT(chunk_stall(single), 0.0);
+  EXPECT_NEAR(chunk_stall(m), chunk_stall(single), 1e-2);
 }
 
 TEST(MultiClient, SymmetricClientsShareFairly) {

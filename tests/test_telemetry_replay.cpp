@@ -307,6 +307,8 @@ TEST(TelemetryReplay, LiveSchemeIdleIsRecorded) {
 }
 
 TEST(TelemetryReplay, MultiClientStreamsAreTaggedAndConsistent) {
+  // RTT and faults on: every client runs the full fetch ladder over the
+  // shared link, and each client's stream must replay like run_session's.
   const video::Video v = default_flat_video(40);
   const net::Trace t = flat_trace(6e6);
   std::vector<sim::ClientSpec> clients;
@@ -320,6 +322,12 @@ TEST(TelemetryReplay, MultiClientStreamsAreTaggedAndConsistent) {
   obs::MemoryTraceSink sink;
   obs::MetricsRegistry reg;
   sim::SessionConfig cfg;
+  cfg.request_rtt_s = 0.05;
+  cfg.fault.connect_failure_prob = 0.1;
+  cfg.fault.mid_drop_prob = 0.1;
+  cfg.fault.timeout_prob = 0.05;
+  cfg.fault.seed = 5;
+  cfg.retry.resume_partial = true;
   cfg.trace = &sink;
   cfg.metrics = &reg;
   cfg.session_id = 100;
@@ -329,6 +337,7 @@ TEST(TelemetryReplay, MultiClientStreamsAreTaggedAndConsistent) {
 
   // 3 clients x 40 chunks, each event tagged with its client's session id.
   EXPECT_EQ(sink.events().size(), 120u);
+  std::size_t failures = 0;
   for (std::uint64_t c = 0; c < 3; ++c) {
     std::deque<obs::DecisionEvent> per_client;
     for (const obs::DecisionEvent& ev : sink.events()) {
@@ -338,15 +347,14 @@ TEST(TelemetryReplay, MultiClientStreamsAreTaggedAndConsistent) {
     }
     SCOPED_TRACE("client " + std::to_string(c));
     ASSERT_EQ(per_client.size(), 40u);
-    // Per-client seq is dense 0..39 in emission order.
-    for (std::size_t k = 0; k < per_client.size(); ++k) {
-      EXPECT_EQ(per_client[k].seq, k);
-      EXPECT_EQ(per_client[k].chunk_index, r.sessions[c].chunks[k].index);
-      EXPECT_EQ(per_client[k].track, r.sessions[c].chunks[k].track);
-    }
-    EXPECT_NEAR(per_client.back().cum_rebuffer_s,
-                r.sessions[c].total_rebuffer_s, kTol);
+    // Per-client seq is dense in emission order, and the stream replays
+    // against its own client's result.
+    check_stream_invariants(per_client, cfg.max_buffer_s);
+    check_stream_against_result(per_client, r.sessions[c], v.num_chunks());
+    const metrics::FaultSummary fs = r.sessions[c].fault_summary();
+    failures += fs.connect_failures + fs.mid_drops + fs.timeouts;
   }
+  EXPECT_GT(failures, 0u);
 
   // The shared registry holds the union across clients.
   double bits = 0.0;
