@@ -5,8 +5,9 @@
 // next to the numbers it came from — plus a fleet-shaped RobustMPC row
 // (a 60 s catalog title with the buffer and bandwidth range that fleet
 // sessions decide in) and end-to-end fleet throughput (sessions/sec) for
-// the batched fleet driver. Results go to BENCH_PERF.json (see
-// EXPERIMENTS.md for the recipe).
+// the batched fleet driver. The pruned MPC rows also report mean nodes
+// expanded per decision, the search's pruning power. Results go to
+// BENCH_PERF.json (see EXPERIMENTS.md for the recipe).
 //
 // Flags:
 //   --quick        ~10x fewer iterations (CI smoke-gate budget)
@@ -118,18 +119,22 @@ struct Measured {
 /// Timed passes per scheme; the reported figure is the fastest one.
 constexpr int kTimedPasses = 5;
 
+/// Warm-up pass: fault in code/data and let RobustMPC variants build an
+/// error window, so the timed loop measures steady state.
+void warm_up(abr::AbrScheme& scheme, ContextSweep sweep) {
+  for (std::size_t i = 0; i < 16; ++i) {
+    const abr::StreamContext ctx = sweep(i);
+    (void)scheme.decide(ctx);
+    scheme.on_chunk_downloaded(ctx, 2, 0.8);
+  }
+}
+
 Measured measure_scheme(abr::AbrScheme& scheme, std::size_t iters,
                         ContextSweep sweep = sweep_context) {
   Measured m;
   for (int pass = 0; pass < kTimedPasses; ++pass) {
     scheme.reset();
-    // Warm-up pass: fault in code/data and let RobustMPC variants build an
-    // error window, so the timed loop measures steady state.
-    for (std::size_t i = 0; i < 16; ++i) {
-      const abr::StreamContext ctx = sweep(i);
-      (void)scheme.decide(ctx);
-      scheme.on_chunk_downloaded(ctx, 2, 0.8);
-    }
+    warm_up(scheme, sweep);
     std::uint64_t checksum = 0;
     const auto t0 = std::chrono::steady_clock::now();
     for (std::size_t i = 0; i < iters; ++i) {
@@ -147,6 +152,21 @@ Measured measure_scheme(abr::AbrScheme& scheme, std::size_t iters,
     m.ns_per_decision = pass == 0 ? ns : std::min(m.ns_per_decision, ns);
   }
   return m;
+}
+
+/// Mean interior nodes the pruned engine expands per decision, over the
+/// decisions of one timed pass (same reset, warm-up and sweep), replayed
+/// untimed so reading the counter stays out of ns_per_decision.
+double nodes_per_decision(const abr::MpcConfig& cfg, std::size_t iters,
+                          ContextSweep sweep) {
+  abr::Mpc mpc(cfg);
+  warm_up(mpc, sweep);
+  std::size_t nodes = 0;
+  for (std::size_t i = 0; i < iters; ++i) {
+    (void)mpc.decide(sweep(i));
+    nodes += mpc.last_nodes_expanded();
+  }
+  return static_cast<double>(nodes) / static_cast<double>(iters);
 }
 
 /// Differential spot-check: pruned vs reference engine must agree on the
@@ -283,6 +303,7 @@ FleetThroughput measure_stream_fleet(std::size_t max_sessions) {
 struct SchemeRow {
   std::string name;
   Measured m;
+  double nodes_per_decision = -1.0;  ///< Pruned MPC rows only.
 };
 
 }  // namespace
@@ -333,14 +354,22 @@ int main(int argc, char** argv) {
     std::printf("%-24s %10.0f ns/decision\n", name.c_str(),
                 rows.back().m.ns_per_decision);
   };
-  run("MPC", std::make_unique<abr::Mpc>(abr::mpc_config()));
+  // Pruned MPC rows also report pruning power: mean nodes per decision.
+  const auto run_pruned = [&](const std::string& name,
+                              const abr::MpcConfig& cfg,
+                              ContextSweep sweep = sweep_context) {
+    run(name, std::make_unique<abr::Mpc>(cfg), sweep);
+    rows.back().nodes_per_decision = nodes_per_decision(cfg, iters, sweep);
+    std::printf("%-24s %10.1f nodes/decision\n", name.c_str(),
+                rows.back().nodes_per_decision);
+  };
+  run_pruned("MPC", abr::mpc_config());
   run("MPC-reference",
       std::make_unique<abr::ReferenceMpc>(abr::mpc_config()));
-  run("RobustMPC", std::make_unique<abr::Mpc>(abr::robust_mpc_config()));
+  run_pruned("RobustMPC", abr::robust_mpc_config());
   run("RobustMPC-reference",
       std::make_unique<abr::ReferenceMpc>(abr::robust_mpc_config()));
-  run("RobustMPC-fleet", std::make_unique<abr::Mpc>(abr::robust_mpc_config()),
-      fleet_context);
+  run_pruned("RobustMPC-fleet", abr::robust_mpc_config(), fleet_context);
   run("RobustMPC-fleet-reference",
       std::make_unique<abr::ReferenceMpc>(abr::robust_mpc_config()),
       fleet_context);
@@ -447,6 +476,10 @@ int main(int argc, char** argv) {
     obs::detail::append_double(json, rows[i].m.ns_per_decision);
     json += ",\"track_checksum\":";
     obs::detail::append_uint(json, rows[i].m.track_checksum);
+    if (rows[i].nodes_per_decision >= 0.0) {
+      json += ",\"nodes_per_decision\":";
+      obs::detail::append_double(json, rows[i].nodes_per_decision);
+    }
     json += '}';
   }
   json += "],\"learned\":{\"tabular_ns_per_decision\":";

@@ -65,8 +65,8 @@ inline double step_value(double q, double smooth, double rebuffer,
 }
 
 /// Pruned engine: depth-first search over the same tree, on per-decision
-/// memoized size/quality tables, with greedy child ordering below the first
-/// level and admissible upper-bound pruning. Produces bit-identical
+/// memoized size/quality tables, with greedy child ordering at every level
+/// and admissible upper-bound pruning. Produces bit-identical
 /// (best_qoe, best_first) to HorizonSearch:
 ///   - every step value and accumulation uses the exact expressions (and
 ///     hence rounding) of the reference, over identical inputs (providers
@@ -77,9 +77,9 @@ inline double step_value(double q, double smooth, double rebuffer,
 ///     dominates every real step at its depth (DESIGN.md §10), so by
 ///     monotonicity of rounding the bound dominates every leaf below — a
 ///     subtree is only skipped when no leaf in it can beat the incumbent;
-///   - the winner is the lowest first track among sequences attaining the
-///     maximal QoE, which only depth-0 visit order decides; depth 0 stays
-///     in ascending-track order, so reordering deeper levels is free.
+///   - the reference returns the lexicographic maximum of
+///     (QoE, -first track); the incumbent is compared in that same total
+///     order (`beats`), so any visit order reaches the same winner.
 struct PrunedSearch {
   const double* quality = nullptr;     ///< L per-track qualities (Mbps).
   const double* dl = nullptr;          ///< K x L download seconds.
@@ -99,18 +99,25 @@ struct PrunedSearch {
   std::size_t best_first = 0;
   std::size_t expanded = 0;
 
+  /// True if a plan scoring `qoe` with first track `first` comes before
+  /// the incumbent in the reference's order: higher QoE, or equal QoE and
+  /// a smaller first track.
+  [[nodiscard]] bool beats(double qoe, std::size_t first) const {
+    return qoe > best_qoe || (qoe == best_qoe && first < best_first);
+  }
+
   /// True if a leaf below the depth-`depth` node on `track` with partial
-  /// QoE `qoe` could still beat the incumbent. The bound is the real
-  /// accumulation chain with every step replaced by its bound, so it
-  /// rounds like a real path; no early exit, since step bounds may be
-  /// negative.
+  /// QoE `qoe` and first track `first` could still beat the incumbent. The
+  /// bound is the real accumulation chain with every step replaced by its
+  /// bound, so it rounds like a real path; no early exit, since step bounds
+  /// may be negative.
   [[nodiscard]] bool can_improve(double qoe, std::size_t depth,
-                                 std::size_t track) const {
+                                 std::size_t track, std::size_t first) const {
     double bound = qoe + next_bound[(depth + 1) * tracks + track];
     for (std::size_t k = depth + 2; k < levels; ++k) {
       bound += deep_bound[k];
     }
-    return bound > best_qoe;
+    return beats(bound, first);
   }
 
   void search(std::size_t depth, double buffer_s, double prev_quality,
@@ -133,35 +140,33 @@ struct PrunedSearch {
       ord[l] = l;
     }
     if (depth + 1 == levels) {
-      // Leaves. Below depth 0 they all share first_track, and only a strict
-      // improvement replaces the incumbent, so they need no ordering.
+      // Leaves. The incumbent's order is total, so they need no ordering.
       for (std::size_t l = 0; l < tracks; ++l) {
-        if (cq[l] > best_qoe) {
+        const std::size_t first = depth == 0 ? l : first_track;
+        if (beats(cq[l], first)) {
           best_qoe = cq[l];
-          best_first = depth == 0 ? l : first_track;
+          best_first = first;
         }
       }
       return;
     }
-    if (depth > 0) {
-      // Greedy ordering: the most promising subtree first, so the
-      // incumbent tightens early and the bound prunes the rest. Insertion
-      // sort on (partial QoE descending, track ascending) — ladders are a
-      // handful of tracks.
-      for (std::size_t j = 1; j < tracks; ++j) {
-        const std::size_t l = ord[j];
-        std::size_t i = j;
-        for (; i > 0 && cq[l] > cq[ord[i - 1]]; --i) {
-          ord[i] = ord[i - 1];
-        }
-        ord[i] = l;
+    // Greedy ordering: the most promising subtree first, so the incumbent
+    // tightens early and the bound prunes the rest. Insertion sort on
+    // (partial QoE descending, track ascending) — ladders are a handful of
+    // tracks.
+    for (std::size_t j = 1; j < tracks; ++j) {
+      const std::size_t l = ord[j];
+      std::size_t i = j;
+      for (; i > 0 && cq[l] > cq[ord[i - 1]]; --i) {
+        ord[i] = ord[i - 1];
       }
+      ord[i] = l;
     }
     for (std::size_t j = 0; j < tracks; ++j) {
       const std::size_t l = ord[j];
-      if (can_improve(cq[l], depth, l)) {
-        search(depth + 1, cb[l], quality[l], cq[l],
-               depth == 0 ? l : first_track);
+      const std::size_t first = depth == 0 ? l : first_track;
+      if (can_improve(cq[l], depth, l, first)) {
+        search(depth + 1, cb[l], quality[l], cq[l], first);
       }
     }
   }

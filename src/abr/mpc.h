@@ -18,10 +18,11 @@
 //   - the pruned engine (default): per-decision size/quality tables filled
 //     by one batched provider query per track, an arena-backed depth-first
 //     search whose scratch is reused across decisions, greedy child
-//     ordering below the first level, and admissible upper-bound pruning
-//     (per-depth step bounds from a buffer upper bound, a rebuffer lower
-//     bound and the known previous track, accumulated with the same
-//     rounding as the real accumulation);
+//     ordering at every level (an incumbent kept in the reference's
+//     (QoE, smallest first track) order makes visit order free), and
+//     admissible upper-bound pruning (per-depth step bounds from a buffer
+//     upper bound, a rebuffer lower bound and the known previous track,
+//     accumulated with the same rounding as the real accumulation);
 //   - the reference engine: the original recursive enumerator over all
 //     tracks^horizon sequences, kept as the differential-testing oracle.
 // The differential suite (tests/test_mpc_differential.cpp) pins that both

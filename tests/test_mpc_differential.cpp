@@ -9,6 +9,7 @@
 // the pruning argument, not noise.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <random>
 #include <sstream>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "abr/mpc.h"
+#include "fleet/catalog.h"
 #include "net/bandwidth_estimator.h"
 #include "net/trace_gen.h"
 #include "obs/trace_sink.h"
@@ -237,6 +239,48 @@ TEST(MpcDifferential, BoundRegimeStarvationWithAllStepBoundsNegative) {
         << "starvation prev " << prev;
   }
   EXPECT_EQ(reference.last_nodes_expanded(), 0U);
+}
+
+TEST(MpcDifferential, FleetShapedSweepPinsPruningPower) {
+  // The decision mix of a vod-coupled fleet's RobustMPC sessions: a 60 s
+  // catalog title (30 two-second chunks), buffers of 2-22 s, estimates
+  // log-spaced over 0.6-7.5 Mb/s and every chunk, the clipped tail
+  // included — the ranges of the decision suite's fleet sweep. 11 buffers,
+  // 13 bandwidths and 30 chunks are pairwise coprime in count, so the
+  // 4290 points cover every (chunk, buffer, bandwidth) combination once.
+  const fleet::Catalog catalog = [] {
+    fleet::CatalogConfig cfg;
+    cfg.num_titles = 1;
+    cfg.title_duration_s = 60.0;
+    cfg.chunk_duration_s = 2.0;
+    cfg.seed = 42;
+    return fleet::Catalog(cfg);
+  }();
+  const video::Video& v = catalog.title(0);
+  ASSERT_EQ(v.num_chunks(), 30U);
+  abr::Mpc pruned(abr::robust_mpc_config());
+  abr::ReferenceMpc reference(abr::robust_mpc_config());
+  const std::size_t points = 11 * 13 * 30;
+  std::size_t nodes = 0;
+  for (std::size_t i = 0; i < points; ++i) {
+    const abr::StreamContext ctx = testutil::make_context(
+        v, (i * 7) % v.num_chunks(), 2.0 + 2.0 * static_cast<double>(i % 11),
+        0.6e6 * std::pow(12.5, static_cast<double>(i % 13) / 12.0),
+        static_cast<int>(i % v.num_tracks()));
+    const std::size_t track =
+        expect_agree(pruned, reference, ctx, "fleet p" + std::to_string(i));
+    nodes += pruned.last_nodes_expanded();
+    // Identical observations keep both robust discounts in lockstep.
+    pruned.on_chunk_downloaded(ctx, track, 0.9);
+    reference.on_chunk_downloaded(ctx, track, 0.9);
+  }
+  // Pruning power: best-first at every depth, with the incumbent kept in
+  // the reference's (QoE, smallest first track) order, expands 55.6 nodes
+  // per decision here; visiting first tracks in ascending order, as a
+  // strict-improvement incumbent must, expands 85.5.
+  const double mean_nodes =
+      static_cast<double>(nodes) / static_cast<double>(points);
+  EXPECT_LT(mean_nodes, 70.0) << "mean interior nodes per decision";
 }
 
 TEST(MpcDifferential, BoundRegimeZeroLambdaAndZeroMu) {
