@@ -29,6 +29,13 @@ std::uint32_t line_checksum(std::string_view more, std::uint32_t prior) {
   return h;
 }
 
+void line_checksums(std::span<const std::string_view> lines,
+                    std::span<std::uint32_t> sums) {
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    sums[i] = line_checksum(lines[i]);
+  }
+}
+
 namespace {
 
 constexpr char kSep = '\t';

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -41,6 +42,12 @@ namespace vbr::obs {
 /// == line_checksum(a + b), so a payload held in pieces needs no copy.
 [[nodiscard]] std::uint32_t line_checksum(std::string_view more,
                                           std::uint32_t prior);
+
+/// sums[i] = line_checksum(lines[i]) for every i. The lines are independent,
+/// so a batch can be hashed faster than one line at a time. `sums` must have
+/// at least lines.size() elements.
+void line_checksums(std::span<const std::string_view> lines,
+                    std::span<std::uint32_t> sums);
 
 /// `payload` + TAB + 8 lowercase hex checksum chars (no trailing newline).
 [[nodiscard]] std::string checksummed_line(std::string_view payload);

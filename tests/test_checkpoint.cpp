@@ -350,6 +350,85 @@ TEST(Checkpoint, CorruptFilesRejectedWithNamedErrors) {
   std::remove(path.c_str());
 }
 
+TEST(Checkpoint, EventLineDamageNamesTheFirstFailingLine) {
+  // A segment whose trailer verifies but whose event lines do not (damage
+  // made before the trailer was computed): load() names the first bad
+  // event line of the segment, whatever follows it.
+  const std::vector<net::Trace> traces = two_traces();
+  const std::string path = testing::TempDir() + "ck_event_lines.ckpt";
+  std::remove(path.c_str());
+  run_until_killed(ck_spec(traces, path), 2, 10);
+  const std::string good = read_file(path);
+  const std::vector<std::size_t> starts = segment_starts(good);
+  ASSERT_EQ(starts.size(), 2u);
+  const std::string first = good.substr(0, starts[1]);
+  const std::string body = first.substr(0, first.rfind("\nend ") + 1);
+
+  std::vector<std::string> lines;
+  for (std::size_t at = 0; at < body.size();) {
+    const std::size_t nl = body.find('\n', at);
+    lines.push_back(body.substr(at, nl - at));
+    at = nl + 1;
+  }
+  std::vector<std::size_t> event_lines;  // 0-based indices into `lines`
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (lines[i].find('\t') != std::string::npos) {
+      event_lines.push_back(i);
+    }
+  }
+  ASSERT_GE(event_lines.size(), 8u);
+
+  const auto load_damaged = [&](const std::vector<std::string>& damaged) {
+    std::string bytes;
+    for (const std::string& l : damaged) {
+      bytes += l;
+      bytes += '\n';
+    }
+    write_file(path, with_trailer(bytes));
+    return load_error(path);
+  };
+  const auto names_line = [](std::size_t index, const std::string& what) {
+    return "checkpoint: segment 1, line " + std::to_string(index + 1) + ": " +
+           what;
+  };
+  ASSERT_EQ(load_damaged(lines), "(no error)");
+  {
+    // Payload damage in two lines: the earlier one is named.
+    std::vector<std::string> d = lines;
+    d[event_lines[5]][2] ^= 0x01;
+    d[event_lines[1]][3] ^= 0x01;
+    EXPECT_EQ(load_damaged(d),
+              names_line(event_lines[1], "event line failed its checksum"));
+  }
+  {
+    // A checksum digit changed to another hex digit.
+    std::vector<std::string> d = lines;
+    char& digit = d[event_lines[6]].back();
+    digit = digit == '0' ? '1' : '0';
+    EXPECT_EQ(load_damaged(d),
+              names_line(event_lines[6], "event line failed its checksum"));
+  }
+  {
+    // No separator left.
+    std::vector<std::string> d = lines;
+    d[event_lines[2]][d[event_lines[2]].rfind('\t')] = ' ';
+    EXPECT_EQ(load_damaged(d),
+              names_line(event_lines[2], "event line failed its checksum"));
+  }
+  {
+    // A line with a valid checksum but no event in it, ahead of a line
+    // that fails its checksum: the parse error comes first.
+    std::vector<std::string> d = lines;
+    d[event_lines[3]] = obs::checksummed_line("{\"not\":\"an event\"}");
+    d[event_lines[4]][2] ^= 0x01;
+    const std::string err = load_damaged(d);
+    EXPECT_EQ(err.rfind(names_line(event_lines[3], "bad event line: "), 0),
+              0u)
+        << err;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(Checkpoint, SaveFailuresCarryErrno) {
   // A checkpoint routed through a regular file fails with ENOTDIR (robust
   // under root, unlike permission-bit tricks) — first from save() itself,

@@ -95,6 +95,62 @@ TEST(JsonlChecksum, RoundTripsAndRejectsDamage) {
   EXPECT_FALSE(obs::verify_checksummed_line(payload + "\t12zz5678", ignored));
 }
 
+TEST(LineChecksum, LanesMatchSerialChain) {
+  // The batch kernel must give every line the checksum line_checksum gives
+  // it alone: for every batch size 0-9 (full and ragged groups), lengths
+  // 0-2048 mixed in one batch (empty lines included), and every byte value.
+  std::uint64_t state = 0x11ec4ec5u;
+  const auto next = [&state] {
+    state += 0x9e3779b97f4a7c15ull;
+    std::uint64_t z = state;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  };
+  std::string all_bytes;
+  for (int b = 0; b < 256; ++b) {
+    all_bytes += static_cast<char>(b);
+  }
+  const std::size_t fixed_lengths[] = {0, 1, 3, 4, 5, 255, 256, 1000, 2048};
+  for (int round = 0; round < 40; ++round) {
+    for (std::size_t count = 0; count <= 9; ++count) {
+      std::vector<std::string> texts;
+      for (std::size_t i = 0; i < count; ++i) {
+        std::size_t len = 0;
+        switch (round % 4) {
+          case 0:  // equal lengths: one shared prefix, no tails
+            len = fixed_lengths[round / 4 % 9];
+            break;
+          case 1:  // one line per fixed length, rotated
+            len = fixed_lengths[(i + round) % 9];
+            break;
+          default:  // anything in 0-2048, empty lines likely in a batch
+            len = next() % 4 == 0 ? 0 : next() % 2049;
+            break;
+        }
+        std::string t;
+        for (std::size_t j = 0; j < len; ++j) {
+          t += round % 4 == 1 ? all_bytes[(j + i) % 256]
+                              : static_cast<char>(next() & 0xff);
+        }
+        texts.push_back(std::move(t));
+      }
+      if (count > 0 && round == 0) {
+        texts[0] = all_bytes;  // every byte value, in order
+      }
+      const std::vector<std::string_view> lines(texts.begin(), texts.end());
+      std::vector<std::uint32_t> sums(count, 0);
+      obs::line_checksums(lines, sums);
+      for (std::size_t i = 0; i < count; ++i) {
+        SCOPED_TRACE("round " + std::to_string(round) + " count " +
+                     std::to_string(count) + " line " + std::to_string(i) +
+                     " length " + std::to_string(lines[i].size()));
+        EXPECT_EQ(sums[i], obs::line_checksum(lines[i]));
+      }
+    }
+  }
+}
+
 TEST(JsonlParse, InvertsToJsonlBitExactly) {
   // Canonical doubles are shortest-round-trip, so serialize → parse →
   // serialize must reproduce the same bytes, optional blocks included.

@@ -22,6 +22,7 @@
 
 #include "stats/bootstrap.h"
 #include "stats/inference.h"
+#include "stats/remainder.h"
 
 namespace vbr {
 namespace {
@@ -366,7 +367,8 @@ TEST(StatsEngine, BootstrapColumnsMatchOneColumnCalls) {
       for (const stats::BootstrapKind kind :
            {stats::BootstrapKind::kPercentile, stats::BootstrapKind::kBca}) {
         for (const std::size_t resamples :
-             {std::size_t{1}, std::size_t{2}, std::size_t{2000}}) {
+             {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{5},
+              std::size_t{7}, std::size_t{2000}, std::size_t{2001}}) {
           stats::BootstrapConfig cfg;
           cfg.kind = kind;
           cfg.resamples = resamples;
@@ -540,7 +542,8 @@ TEST(StatsEngine, BootstrapQuantilesMatchSortedReference) {
     for (const stats::BootstrapKind kind :
          {stats::BootstrapKind::kPercentile, stats::BootstrapKind::kBca}) {
       for (const std::size_t resamples :
-           {std::size_t{2}, std::size_t{3}, std::size_t{2000}}) {
+           {std::size_t{2}, std::size_t{3}, std::size_t{5}, std::size_t{7},
+            std::size_t{2000}}) {
         stats::BootstrapConfig cfg;
         cfg.confidence = confidence;
         cfg.kind = kind;
@@ -567,6 +570,59 @@ TEST(StatsEngine, BootstrapQuantilesMatchSortedReference) {
       }
     }
   }
+}
+
+TEST(ExactRemainder, MatchesModuloOnEdgesAndDraws) {
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  const std::uint64_t ns[] = {1,
+                              2,
+                              3,
+                              7,
+                              500,
+                              (std::uint64_t{1} << 32) - 1,
+                              (std::uint64_t{1} << 32) + 1,
+                              (std::uint64_t{1} << 63) + 1,
+                              kMax};
+  for (const std::uint64_t n : ns) {
+    const stats::ExactRemainder rem(n);
+    // Multiples of n (wrapping past 2^64 is just another x to check).
+    std::vector<std::uint64_t> xs = {0, 1, n - 1, n, kMax};
+    for (const std::uint64_t k :
+         {std::uint64_t{2}, std::uint64_t{3}, std::uint64_t{1000},
+          std::uint64_t{1} << 32, kMax / n}) {
+      xs.push_back(k * n - 1);
+      xs.push_back(k * n);
+      xs.push_back(k * n + 1);
+    }
+    for (const std::uint64_t x : xs) {
+      EXPECT_EQ(rem(x), x % n) << "x " << x << " n " << n;
+    }
+  }
+  // Seeded splitmix draws against every divisor above, and against a fresh
+  // drawn divisor for each one.
+  std::uint64_t state = 0xd1f2e3u;
+  const auto next = [&state] {
+    state += 0x9e3779b97f4a7c15ull;
+    std::uint64_t z = state;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  };
+  std::vector<stats::ExactRemainder> rems;
+  for (const std::uint64_t n : ns) {
+    rems.emplace_back(n);
+  }
+  std::size_t mismatches = 0;
+  for (int i = 0; i < 1000000; ++i) {
+    const std::uint64_t x = next();
+    for (std::size_t d = 0; d < rems.size(); ++d) {
+      mismatches += rems[d](x) != x % ns[d] ? 1 : 0;
+    }
+    // Drawn divisors, from small to full width.
+    const std::uint64_t n = std::max<std::uint64_t>(next() >> (i % 64), 1);
+    mismatches += stats::ExactRemainder(n)(x) != x % n ? 1 : 0;
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(StatsEngine, BootstrapColumnsRejectRaggedOrEmpty) {
