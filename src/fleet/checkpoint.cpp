@@ -281,6 +281,22 @@ class Reader {
     return line;
   }
 
+  /// Up to `n` next lines, without consuming them: those next_line() would
+  /// return before it fails.
+  [[nodiscard]] std::vector<std::string_view> peek_lines(
+      std::uint64_t n) const {
+    std::vector<std::string_view> lines;
+    for (std::size_t at = pos_; lines.size() < n && at < s_.size();) {
+      const std::size_t nl = s_.find('\n', at);
+      if (nl == std::string_view::npos) {
+        break;
+      }
+      lines.push_back(s_.substr(at, nl - at));
+      at = nl + 1;
+    }
+    return lines;
+  }
+
   [[nodiscard]] bool at_end() const { return pos_ >= s_.size(); }
 
   [[noreturn]] void fail(const std::string& what) const {
@@ -820,11 +836,14 @@ void put_session(std::string& s, const FleetSessionRecord& rec,
   put_u64(s, events != nullptr ? events->size() : 0);
   s += '\n';
   if (events != nullptr) {
+    // Each event rides as a checksummed canonical JSONL line — the same
+    // torn/corrupt detection as the durable trace sinks. The lines go down
+    // with checksum slots that one batch call then fills.
+    const std::size_t first = s.size();
     for (const obs::DecisionEvent& ev : *events) {
-      // Each event rides as a checksummed canonical JSONL line — the same
-      // torn/corrupt detection as the durable trace sinks.
-      obs::append_checksummed_jsonl(s, ev, ev.seq);
+      obs::append_jsonl_with_checksum_slot(s, ev, ev.seq);
     }
+    obs::fill_checksum_slots(s, first);
   }
   s += "metrics ";
   put_u64(s, metrics != nullptr ? 1 : 0);
@@ -1184,15 +1203,19 @@ FleetCheckpoint::SessionState read_session(
   if (!ss.has_events && nev != 0) {
     r.fail("events listed for a session without an event stream");
   }
-  ss.events.reserve(nev);
+  // Verify the lines in one batch first; then walk them in order, so that
+  // the first bad line (checksum, parse, or a missing line) is the one named.
+  const std::vector<std::string_view> lines = r.peek_lines(nev);
+  std::vector<std::string_view> payloads(lines.size());
+  const std::size_t verified = obs::verify_checksummed_lines(lines, payloads);
+  ss.events.reserve(lines.size());  // not nev: the file may overstate it
   for (std::uint64_t j = 0; j < nev; ++j) {
-    const std::string_view line = r.next_line();
-    std::string_view payload;
-    if (!obs::verify_checksummed_line(line, payload)) {
+    (void)r.next_line();
+    if (j >= verified) {
       r.fail("event line failed its checksum");
     }
     try {
-      ss.events.push_back(obs::parse_jsonl(payload));
+      ss.events.push_back(obs::parse_jsonl(payloads[j]));
     } catch (const std::invalid_argument& e) {
       r.fail(std::string("bad event line: ") + e.what());
     }

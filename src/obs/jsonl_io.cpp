@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <charconv>
 #include <cstdio>
@@ -14,42 +15,105 @@
 
 namespace vbr::obs {
 
+namespace {
+
+// FNV-1a 32: tiny, table-free, and plenty for torn-line detection (this is
+// an integrity check against truncation and bit rot, not an adversary).
+constexpr std::uint32_t kFnvBasis = 0x811c9dc5u;
+constexpr std::uint32_t kFnvPrime = 0x01000193u;
+
+/// Lines hashed in lockstep by line_checksums.
+constexpr std::size_t kLanes = 4;
+/// Lines per line_checksums call when a caller batches a longer run.
+constexpr std::size_t kBatch = 64;
+
+constexpr char kSep = '\t';
+/// TAB + 8 hex digits + '\n': what follows each payload.
+constexpr std::size_t kSuffixBytes = 10;
+/// The durable sink writes once this many bytes are buffered.
+constexpr std::size_t kBufferBytes = std::size_t{1} << 16;
+
+void put_hex8(char* out, std::uint32_t v) {
+  static const char* digits = "0123456789abcdef";
+  for (int i = 0; i < 8; ++i) {
+    out[i] = digits[(v >> (28 - 4 * i)) & 0xFu];
+  }
+}
+
+void append_hex8(std::string& out, std::uint32_t v) {
+  out.append(8, '0');
+  put_hex8(out.data() + out.size() - 8, v);
+}
+
+/// Splits `line` into payload and stored checksum; false on a missing
+/// separator or a malformed checksum field.
+bool split_checksummed_line(std::string_view line, std::string_view& payload,
+                            std::uint32_t& stored) {
+  const std::size_t sep = line.rfind(kSep);
+  if (sep == std::string_view::npos || line.size() - sep - 1 != 8) {
+    return false;
+  }
+  stored = 0;
+  for (std::size_t i = sep + 1; i < line.size(); ++i) {
+    const char c = line[i];
+    std::uint32_t nibble = 0;
+    if (c >= '0' && c <= '9') {
+      nibble = static_cast<std::uint32_t>(c - '0');
+    } else if (c >= 'a' && c <= 'f') {
+      nibble = static_cast<std::uint32_t>(c - 'a') + 10;
+    } else {
+      return false;
+    }
+    stored = (stored << 4) | nibble;
+  }
+  payload = line.substr(0, sep);
+  return true;
+}
+
+}  // namespace
+
 std::uint32_t line_checksum(std::string_view payload) {
-  // FNV-1a 32: tiny, table-free, and plenty for torn-line detection (this
-  // is an integrity check against truncation and bit rot, not an adversary).
-  return line_checksum(payload, 0x811c9dc5u);
+  return line_checksum(payload, kFnvBasis);
 }
 
 std::uint32_t line_checksum(std::string_view more, std::uint32_t prior) {
   std::uint32_t h = prior;
   for (const char c : more) {
     h ^= static_cast<unsigned char>(c);
-    h *= 0x01000193u;
+    h *= kFnvPrime;
   }
   return h;
 }
 
 void line_checksums(std::span<const std::string_view> lines,
                     std::span<std::uint32_t> sums) {
-  for (std::size_t i = 0; i < lines.size(); ++i) {
+  // One FNV-1a chain waits a multiply per byte. kLanes lines advance
+  // together over their common prefix, so their independent chains overlap
+  // in the pipeline; each tail then finishes alone. Every line still sees
+  // its own bytes in order, so each sum is line_checksum's.
+  std::size_t i = 0;
+  for (; i + kLanes <= lines.size(); i += kLanes) {
+    std::uint32_t h[kLanes];
+    const unsigned char* p[kLanes];
+    std::size_t common = lines[i].size();
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      h[l] = kFnvBasis;
+      p[l] = reinterpret_cast<const unsigned char*>(lines[i + l].data());
+      common = std::min(common, lines[i + l].size());
+    }
+    for (std::size_t j = 0; j < common; ++j) {
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        h[l] = (h[l] ^ p[l][j]) * kFnvPrime;
+      }
+    }
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      sums[i + l] = line_checksum(lines[i + l].substr(common), h[l]);
+    }
+  }
+  for (; i < lines.size(); ++i) {
     sums[i] = line_checksum(lines[i]);
   }
 }
-
-namespace {
-
-constexpr char kSep = '\t';
-/// The durable sink writes once this many bytes are buffered.
-constexpr std::size_t kBufferBytes = std::size_t{1} << 16;
-
-void append_hex8(std::string& out, std::uint32_t v) {
-  static const char* digits = "0123456789abcdef";
-  for (int shift = 28; shift >= 0; shift -= 4) {
-    out += digits[(v >> shift) & 0xFu];
-  }
-}
-
-}  // namespace
 
 std::string checksummed_line(std::string_view payload) {
   std::string out;
@@ -71,31 +135,68 @@ void append_checksummed_jsonl(std::string& out, const DecisionEvent& event,
   out += '\n';
 }
 
+void append_jsonl_with_checksum_slot(std::string& out,
+                                     const DecisionEvent& event,
+                                     std::uint64_t seq) {
+  append_jsonl(out, event, seq);
+  out += "\t00000000\n";
+}
+
+void fill_checksum_slots(std::string& out, std::size_t from) {
+  std::string_view payloads[kBatch];
+  std::size_t slots[kBatch];
+  std::uint32_t sums[kBatch];
+  std::size_t at = from;
+  while (at < out.size()) {
+    std::size_t n = 0;
+    for (; n < kBatch && at < out.size(); ++n) {
+      const std::size_t end = out.find('\n', at) + 1 - kSuffixBytes;
+      payloads[n] = std::string_view(out.data() + at, end - at);
+      slots[n] = end + 1;
+      at = end + kSuffixBytes;
+    }
+    line_checksums({payloads, n}, {sums, n});
+    for (std::size_t i = 0; i < n; ++i) {
+      put_hex8(out.data() + slots[i], sums[i]);
+    }
+  }
+}
+
 bool verify_checksummed_line(std::string_view line,
                              std::string_view& payload) {
-  const std::size_t sep = line.rfind(kSep);
-  if (sep == std::string_view::npos || line.size() - sep - 1 != 8) {
-    return false;
-  }
+  std::string_view body;
   std::uint32_t stored = 0;
-  for (std::size_t i = sep + 1; i < line.size(); ++i) {
-    const char c = line[i];
-    std::uint32_t nibble = 0;
-    if (c >= '0' && c <= '9') {
-      nibble = static_cast<std::uint32_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      nibble = static_cast<std::uint32_t>(c - 'a') + 10;
-    } else {
-      return false;
-    }
-    stored = (stored << 4) | nibble;
-  }
-  const std::string_view body = line.substr(0, sep);
-  if (line_checksum(body) != stored) {
+  if (!split_checksummed_line(line, body, stored) ||
+      line_checksum(body) != stored) {
     return false;
   }
   payload = body;
   return true;
+}
+
+std::size_t verify_checksummed_lines(std::span<const std::string_view> lines,
+                                     std::span<std::string_view> payloads) {
+  std::uint32_t stored[kBatch];
+  std::uint32_t sums[kBatch];
+  for (std::size_t start = 0; start < lines.size(); start += kBatch) {
+    const std::size_t n = std::min(kBatch, lines.size() - start);
+    std::size_t split = 0;
+    while (split < n && split_checksummed_line(lines[start + split],
+                                               payloads[start + split],
+                                               stored[split])) {
+      ++split;
+    }
+    line_checksums(payloads.subspan(start, split), {sums, split});
+    for (std::size_t i = 0; i < split; ++i) {
+      if (sums[i] != stored[i]) {
+        return start + i;
+      }
+    }
+    if (split < n) {
+      return start + split;
+    }
+  }
+  return lines.size();
 }
 
 // ---------------------------------------------------------------------------

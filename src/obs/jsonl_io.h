@@ -57,11 +57,30 @@ void line_checksums(std::span<const std::string_view> lines,
 void append_checksummed_jsonl(std::string& out, const DecisionEvent& event,
                               std::uint64_t seq);
 
+/// append_checksummed_jsonl with "00000000" in place of the checksum, for a
+/// run of lines that fill_checksum_slots() then sums in one batch.
+void append_jsonl_with_checksum_slot(std::string& out,
+                                     const DecisionEvent& event,
+                                     std::uint64_t seq);
+
+/// Writes the checksum of every line in out[from, out.size()) into its
+/// slot. Each line there must come from append_jsonl_with_checksum_slot;
+/// afterwards the bytes equal those append_checksummed_jsonl would give.
+void fill_checksum_slots(std::string& out, std::size_t from);
+
 /// Splits a checksummed line and verifies it. Returns true and sets
 /// `payload` on success; false on a missing separator, malformed checksum
 /// field, or mismatch.
 [[nodiscard]] bool verify_checksummed_line(std::string_view line,
                                            std::string_view& payload);
+
+/// verify_checksummed_line over a run of lines, hashed by line_checksums.
+/// Returns the index of the first line that fails (lines.size() if none
+/// does) and sets payloads[i] for every line before it. `payloads` must
+/// have at least lines.size() elements.
+[[nodiscard]] std::size_t verify_checksummed_lines(
+    std::span<const std::string_view> lines,
+    std::span<std::string_view> payloads);
 
 /// Parses one canonical to_jsonl() line back into a DecisionEvent.
 /// Throws std::invalid_argument naming the offending field on any deviation

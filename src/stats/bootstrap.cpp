@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "stats/inference.h"
+#include "stats/remainder.h"
 
 namespace vbr::stats {
 namespace {
@@ -33,10 +34,11 @@ std::uint64_t resample_key(std::uint64_t seed, std::uint64_t salt,
 }
 
 // Index drawn for position j of the resample keyed by `key`: with the key,
-// a pure function of (seed, salt, resample, position).
-std::size_t draw_index(std::uint64_t key, std::size_t j, std::size_t n) {
+// a pure function of (seed, salt, resample, position). `mod_n` is x % n.
+std::size_t draw_index(std::uint64_t key, std::size_t j,
+                       const ExactRemainder& mod_n) {
   return static_cast<std::size_t>(
-      mix64(key + 0xbf58476d1ce4e5b9ull * (j + 1)) % n);
+      mod_n(mix64(key + 0xbf58476d1ce4e5b9ull * (j + 1))));
 }
 
 double span_mean(std::span<const double> xs) {
@@ -81,23 +83,75 @@ PackedColumns pack_columns(std::span<const std::span<const double>> columns,
   return p;
 }
 
-// Mean of resample r of every column into means[c]. Each position's index
-// is drawn once and added to every column's own accumulator, in position
-// order, so each mean is the one a single-column pass would compute.
-void resample_means(const PackedColumns& p, std::uint64_t seed,
-                    std::uint64_t salt, std::size_t r,
-                    std::vector<double>& means) {
-  std::fill(means.begin(), means.end(), 0.0);
-  const std::uint64_t key = resample_key(seed, salt, r);
+// Resampled means of columns [c0, c0 + B) for the W resamples whose drawn
+// rows are in `offsets` (offsets[j * W + w]: where position j of resample w
+// reads): out[c * stride + w] is the mean of resample w of column c. The
+// W x B accumulators stay in registers, and each sums its column's values
+// in position order, as a pass over that resample and column alone would.
+template <std::size_t W, std::size_t B>
+void sum_columns(const PackedColumns& p, const std::size_t* offsets,
+                 std::size_t c0, double* out, std::size_t stride) {
+  double acc[W][B] = {};
+  const double* base = p.rows.data() + c0;
   for (std::size_t j = 0; j < p.n; ++j) {
-    const double* row = p.rows.data() + draw_index(key, j, p.n) * p.k;
-    for (std::size_t c = 0; c < p.k; ++c) {
-      means[c] += row[c];
+    for (std::size_t w = 0; w < W; ++w) {
+      const double* row = base + offsets[j * W + w];
+      for (std::size_t b = 0; b < B; ++b) {
+        acc[w][b] += row[b];
+      }
     }
   }
-  for (double& m : means) {
-    m /= static_cast<double>(p.n);
+  for (std::size_t b = 0; b < B; ++b) {
+    for (std::size_t w = 0; w < W; ++w) {
+      out[(c0 + b) * stride + w] = acc[w][b] / static_cast<double>(p.n);
+    }
   }
+}
+
+// Means of resamples r0 .. r0 + W - 1 of every column: out[c * stride + w]
+// for resample r0 + w. All W resamples are drawn first, then summed column
+// block by column block, so that the W resamples advance together as
+// independent chains.
+template <std::size_t W>
+void resample_means(const PackedColumns& p, const ExactRemainder& mod_n,
+                    std::uint64_t seed, std::uint64_t salt, std::size_t r0,
+                    std::vector<std::size_t>& offsets, double* out,
+                    std::size_t stride) {
+  constexpr std::size_t kBlock = 4;  // columns per register block
+  for (std::size_t w = 0; w < W; ++w) {
+    const std::uint64_t key = resample_key(seed, salt, r0 + w);
+    for (std::size_t j = 0; j < p.n; ++j) {
+      offsets[j * W + w] = draw_index(key, j, mod_n) * p.k;
+    }
+  }
+  std::size_t c = 0;
+  for (; c + kBlock <= p.k; c += kBlock) {
+    sum_columns<W, kBlock>(p, offsets.data(), c, out, stride);
+  }
+  for (; c < p.k; ++c) {
+    sum_columns<W, 1>(p, offsets.data(), c, out, stride);
+  }
+}
+
+// Every resampled mean of every column: out[c * resamples + r] is the mean
+// of resample r of column c. kLanes resamples per pass, then one at a time.
+std::vector<double> all_resample_means(const PackedColumns& p,
+                                       std::uint64_t seed, std::uint64_t salt,
+                                       std::size_t resamples) {
+  constexpr std::size_t kLanes = 4;
+  const ExactRemainder mod_n(p.n);
+  std::vector<double> out(p.k * resamples);
+  std::vector<std::size_t> offsets(p.n * kLanes);
+  std::size_t r = 0;
+  for (; r + kLanes <= resamples; r += kLanes) {
+    resample_means<kLanes>(p, mod_n, seed, salt, r, offsets, out.data() + r,
+                           resamples);
+  }
+  for (; r < resamples; ++r) {
+    resample_means<1>(p, mod_n, seed, salt, r, offsets, out.data() + r,
+                      resamples);
+  }
+  return out;
 }
 
 // Type-7 (linear interpolation) quantile, selected in place: the order
@@ -187,15 +241,8 @@ std::vector<BootstrapCi> bootstrap_mean_cis(
   validate_config(cfg);
   const PackedColumns p = pack_columns(columns, "bootstrap_mean_cis");
   const std::size_t resamples = cfg.resamples;
-  // thetas[c * resamples + r]: resample r of column c.
-  std::vector<double> thetas(p.k * resamples);
-  std::vector<double> means(p.k);
-  for (std::size_t r = 0; r < resamples; ++r) {
-    resample_means(p, cfg.seed, kSaltOneSample, r, means);
-    for (std::size_t c = 0; c < p.k; ++c) {
-      thetas[c * resamples + r] = means[c];
-    }
-  }
+  std::vector<double> thetas =
+      all_resample_means(p, cfg.seed, kSaltOneSample, resamples);
   std::vector<BootstrapCi> cis;
   cis.reserve(p.k);
   std::vector<double> jack;
@@ -231,15 +278,12 @@ std::vector<BootstrapCi> bootstrap_mean_diff_cis(
   const PackedColumns pb =
       pack_columns(columns_b, "bootstrap_mean_diff_cis: columns_b");
   const std::size_t resamples = cfg.resamples;
-  std::vector<double> thetas(pa.k * resamples);
-  std::vector<double> means_a(pa.k);
-  std::vector<double> means_b(pb.k);
-  for (std::size_t r = 0; r < resamples; ++r) {
-    resample_means(pa, cfg.seed, kSaltDiffA, r, means_a);
-    resample_means(pb, cfg.seed, kSaltDiffB, r, means_b);
-    for (std::size_t c = 0; c < pa.k; ++c) {
-      thetas[c * resamples + r] = means_a[c] - means_b[c];
-    }
+  std::vector<double> thetas =
+      all_resample_means(pa, cfg.seed, kSaltDiffA, resamples);
+  const std::vector<double> means_b =
+      all_resample_means(pb, cfg.seed, kSaltDiffB, resamples);
+  for (std::size_t i = 0; i < thetas.size(); ++i) {
+    thetas[i] -= means_b[i];
   }
   std::vector<BootstrapCi> cis;
   cis.reserve(pa.k);
